@@ -21,9 +21,14 @@ merge/decode tail stays small.  Three things are asserted:
   measuring pure pool overhead) but the bar is not enforced;
 * **the shipped-bytes bar** — machine-independent: for one simulated stage
   of derived heads, the pickled shared-memory control message must be
-  ≥ 10× smaller than the pickled fact slice the wire fallback would ship.
+  ≥ 10× smaller than the raw column bytes the stage appended
+  (``8·(arity+1)`` per new fact: one stamp plus one ID per argument).
   This is the zero-copy claim in byte form — facts travel through shared
   segments, only watermarks/directories/symbol suffixes cross the pipe.
+
+The pool is driven the way the engine drives it, through a
+:class:`~repro.engine.resilience.SupervisedDiscovery` — here with zero
+retries and no serial fallback, so a worker fault fails the benchmark.
 
 The last config (~200k atoms) sizes the columnar store: its row records
 ``peak_rss_kb`` so the trajectory catches memory regressions, not just
@@ -37,7 +42,12 @@ import pickle
 import pytest
 
 from repro.core.atoms import Atom
-from repro.engine import AtomIndex, ParallelDiscovery
+from repro.engine import (
+    AtomIndex,
+    ParallelDiscovery,
+    ResilienceConfig,
+    SupervisedDiscovery,
+)
 from repro.engine.delta import compiled_delta_matches
 from repro.engine.shm import SHM_AVAILABLE, SharedColumnStore
 from repro.obs import CLOCK, peak_rss_kb
@@ -61,8 +71,12 @@ ASSERTED = ("clique", dict(rules=16, nodes=300, edges=3000))
 #: ≥ 2-core machines must reach this at workers=2 on the asserted config.
 MIN_SPEEDUP = 1.5
 
-#: Per-stage pickled-bytes ratio (wire fact slice / shm control message).
+#: Per-stage bytes ratio (appended column bytes / pickled shm control
+#: message).
 MIN_SHIPPED_REDUCTION = 10.0
+
+#: Zero retries and no serial fallback: a worker fault fails the run.
+STRICT = ResilienceConfig(max_retries=0, serial_fallback=False)
 
 
 def _best_of(reps, thunk):
@@ -105,23 +119,28 @@ def _fire_heads(structure, tgds, serial):
 
 
 def _stage_shipped_bytes(tgds, instance, serial):
-    """Pickled bytes each transport ships for one stage of derived heads.
+    """Column bytes one stage of derived heads appends, and the pickled shm
+    control message that syncs them.
 
-    Builds a fresh index over *instance*, performs the initial sync on both
-    transports (that cost is identical and one-off), then fires the serial
-    candidates as an oblivious stage and measures what each transport would
-    pickle onto the worker pipes for the *incremental* sync — the payload
-    that recurs every stage of a real chase.
+    Builds a fresh index over *instance*, performs the initial sync (a
+    one-off cost), then fires the serial candidates as an oblivious stage
+    and measures the *incremental* sync — the payload that recurs every
+    stage of a real chase — against the raw ``8·(arity+1)`` bytes per new
+    fact the stage appended to the posting columns.
     """
     index = AtomIndex(instance)
-    _, cursor = index.export_slice(None)
     store = SharedColumnStore()
     store.sync(index)
     try:
+        postings = index.tables()[0]
+        before = {pid: posting.length for pid, posting in postings.items()}
         _fire_heads(index.structure, tgds, serial)
-        wire, _ = index.export_slice(cursor)
+        column_bytes = sum(
+            (posting.length - before.get(pid, 0)) * 8 * (len(posting.cols) + 1)
+            for pid, posting in postings.items()
+        )
         sync = store.sync(index)
-        return len(pickle.dumps(wire)), len(pickle.dumps(sync))
+        return column_bytes, len(pickle.dumps(sync))
     finally:
         store.close()
 
@@ -149,18 +168,18 @@ def test_parallel_discovery_trajectory(
     # parallel result.  The bar below requires BOTH to be ≥ 2.
     os_cpus = os.cpu_count() or 1
     asserted = (workload, params) == ASSERTED
-    wire_stage_bytes = shm_stage_bytes = None
+    column_stage_bytes = shm_stage_bytes = None
     if SHM_AVAILABLE:
-        wire_stage_bytes, shm_stage_bytes = _stage_shipped_bytes(
+        column_stage_bytes, shm_stage_bytes = _stage_shipped_bytes(
             tgds, build(workload, **params)[1], serial
         )
     speedups = {}
     for workers in worker_counts:
         with ParallelDiscovery(tgds, workers=workers) as pool:
-            pool.discover(index, 0, stage_start)  # warm sync + plans
-            transport = "shm" if pool.shared_memory else "wire"
+            discovery = SupervisedDiscovery(pool, STRICT, tgds)
+            discovery.discover(index, 0, stage_start)  # warm sync + plans
             parallel_seconds, parallel = _best_of(
-                reps, lambda: pool.discover(index, 0, stage_start)
+                reps, lambda: discovery.discover(index, 0, stage_start)
             )
         # Divergence is a correctness failure wherever the benchmark runs:
         # the parallel candidate multisets must equal the serial ones per TGD.
@@ -178,24 +197,23 @@ def test_parallel_discovery_trajectory(
                     "atoms": len(instance),
                     "candidates": candidates,
                     "workers": workers,
-                    "transport": transport,
                     "cpus": cpus,
                     "os_cpu_count": os_cpus,
                     "serial_seconds": round(serial_seconds, 6),
                     "parallel_seconds": round(parallel_seconds, 6),
                     "speedup": round(speedup, 2),
-                    "wire_stage_bytes": wire_stage_bytes,
+                    "column_stage_bytes": column_stage_bytes,
                     "shm_stage_bytes": shm_stage_bytes,
                     "peak_rss_kb": peak_rss_kb(),
                 }
             )
         )
     if asserted and SHM_AVAILABLE:
-        reduction = wire_stage_bytes / max(shm_stage_bytes, 1)
+        reduction = column_stage_bytes / max(shm_stage_bytes, 1)
         assert reduction >= MIN_SHIPPED_REDUCTION, (
             f"shm control message only {reduction:.1f}x smaller than the "
-            f"pickled fact slice (bar: {MIN_SHIPPED_REDUCTION}x, "
-            f"wire={wire_stage_bytes}B, shm={shm_stage_bytes}B)"
+            f"column bytes the stage appended (bar: {MIN_SHIPPED_REDUCTION}x, "
+            f"columns={column_stage_bytes}B, shm={shm_stage_bytes}B)"
         )
     if asserted and cpus >= 2 and os_cpus >= 2:
         best = speedups[2]

@@ -112,8 +112,9 @@ def _audit_parallel(trace_path: str, serial_result):
     if SHM_AVAILABLE:
         # The zero-copy ledger: segments were allocated and columns attached
         # in place (positive shm bytes).  The per-stage byte *reduction*
-        # claim lives in E18, which measures both transports on one index;
-        # here the audit only pins that the ledger events actually flow.
+        # claim lives in E18, which compares the control message with the
+        # column bytes a stage appends; here the audit only pins that the
+        # ledger events actually flow.
         checks["parallel.shm.attach events traced"] = (
             summary.events.get("parallel.shm.attach", 0) > 0,
             True,

@@ -15,8 +15,12 @@ Section VIII.E counter-model, the Theorem 1 reduction pipeline.  It contains
   semi-oblivious firing policies with atom/stage budgets;
 * :mod:`~repro.engine.parallel` — an opt-in (``workers=N``)
   ``multiprocessing`` pool that fans each stage's batch trigger discovery
-  out over replica indexes synced through interned wire slices, merging
-  candidates back into canonical order — output stays bit-identical.
+  out over replica indexes attached to shared-memory posting columns
+  (:mod:`~repro.engine.shm`), merging candidates back into canonical
+  order — output stays bit-identical;
+* :mod:`~repro.engine.resilience` — the supervisor every pool runs under:
+  retry, respawn and serial fallback, or a typed ``WorkerError`` when
+  ``resilience=False``.
 
 Heavy consumers select an engine through the shared ``engine=`` parameter
 (accepted by :func:`run_chase`, ``GreenGraphRuleSet.chase``,
@@ -36,12 +40,10 @@ from ..chase.tgd import TGD
 from ..core.structure import Structure
 from .delta import (
     compiled_delta_matches,
-    delta_body_matches,
-    delta_frontier_keys,
     head_satisfied_indexed,
     select_delta_executor,
 )
-from .indexes import AtomIndex, WireCursor, WireSlice
+from .indexes import AtomIndex
 from .parallel import ParallelDiscovery, WorkerError
 from .resilience import (
     ResilienceConfig,
@@ -100,8 +102,9 @@ def make_engine(
     not run the compiled runtime — accepts only ``None`` / ``"nested"``.
     ``resilience`` tunes the parallel pool's fault tolerance
     (:mod:`repro.engine.resilience`): ``None`` keeps the instance's setting
-    (supervised defaults for fresh engines), ``False`` restores strict
-    fail-fast, a :class:`~repro.engine.resilience.ResilienceConfig` sets
+    (supervised defaults for fresh engines), ``False`` means zero retries
+    and no serial fallback (the first worker fault raises ``WorkerError``),
+    a :class:`~repro.engine.resilience.ResilienceConfig` sets
     deadlines/retries/fallback; the reference engine — which has no pool —
     accepts only ``None`` / ``False``.  ``context`` selects the
     :class:`~repro.query.context.EvalContext` the run's index is donated to
@@ -240,8 +243,8 @@ def run_chase(
     is bit-identical to the serial run.  ``match_strategy`` selects the
     compiled executor for delta matching (``"wcoj"`` enables the
     worst-case-optimal generic join; output is identical either way).
-    ``resilience`` tunes (or, with ``False``, disables) the pool's fault
-    supervision — see :mod:`repro.engine.resilience`; recovery never
+    ``resilience`` tunes the pool's fault supervision (``False``: zero
+    retries, no fallback) — see :mod:`repro.engine.resilience`; recovery never
     changes output, only whether a faulted run survives.  ``context``
     selects the evaluation context the chased structure's index is donated
     to (``None`` = the process-wide shared context) — per-session callers
@@ -281,12 +284,8 @@ __all__ = [
     "ResilienceConfigError",
     "SemiNaiveChaseEngine",
     "SupervisedDiscovery",
-    "WireCursor",
-    "WireSlice",
     "WorkerError",
     "compiled_delta_matches",
-    "delta_body_matches",
-    "delta_frontier_keys",
     "head_satisfied_indexed",
     "lazy_strategy",
     "make_engine",

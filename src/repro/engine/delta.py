@@ -11,98 +11,27 @@ it suffices to enumerate those: for every body-atom position ``j``, seed the
 match with a delta atom at position ``j`` and complete the remaining body
 atoms against the stage-start prefix of the index.
 
-All matching here runs against :class:`~repro.engine.indexes.AtomIndex`
-posting-list prefixes — no structure copy, no frozenset materialisation —
-with candidate atoms looked up through the most selective
-``(predicate, position, value)`` posting list.
+All matching here runs the compiled query runtime (:mod:`repro.query`)
+against :class:`~repro.engine.indexes.AtomIndex` posting-list prefixes — no
+structure copy, no frozenset materialisation.  The reference chase and
+:class:`~repro.core.homomorphism.HomomorphismProblem` are the oracles the
+tests hold this enumeration against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..chase.tgd import TGD
-from ..chase.trigger import frontier_key
-from ..core.atoms import Atom
 from ..core.terms import is_rigid
 from ..obs.metrics import active as _metrics_active
 from ..query.compile import STRATEGIES, compiled_for, execute_hash, execute_nested
-from ..query.evaluator import exists_match, extend_match
+from ..query.evaluator import exists_match
 from ..query.wcoj import execute_wcoj
 from .indexes import AtomIndex
 
 Assignment = Dict[object, object]
 FrontierKey = Tuple[Tuple[object, object], ...]
-
-def extend_assignment(
-    source_atom: Atom, target_atom: Atom, assignment: Assignment
-) -> Optional[Assignment]:
-    """Extend *assignment* so that *source_atom* maps onto *target_atom*.
-
-    Historical entry point, now a thin wrapper over the shared
-    :func:`repro.query.evaluator.extend_match`.  Unlike the shared primitive
-    (which aliases the input dictionary when no new bindings arise), this
-    wrapper preserves the original contract of always returning a dictionary
-    the caller may mutate freely.
-    """
-    extension = extend_match(source_atom, target_atom, assignment)
-    if extension is None:
-        return None
-    return dict(extension) if extension is assignment else extension
-
-
-def _bound_positions(atom: Atom, assignment: Assignment) -> Dict[int, object]:
-    """Argument positions of *atom* whose value is already determined."""
-    bound: Dict[int, object] = {}
-    for position, arg in enumerate(atom.args):
-        if is_rigid(arg):
-            bound[position] = arg
-        elif arg in assignment:
-            bound[position] = assignment[arg]
-    return bound
-
-
-def _pick_next(
-    remaining: List[Tuple[Atom, Optional[int]]],
-    assignment: Assignment,
-    index: AtomIndex,
-) -> Tuple[Atom, Optional[int]]:
-    """Most-constrained-first atom selection (mirrors the reference search)."""
-
-    def score(item: Tuple[Atom, Optional[int]]) -> Tuple[int, int, int]:
-        atom, hi = item
-        new_vars = 0
-        connected = 0
-        for arg in set(atom.args):
-            if is_rigid(arg):
-                continue
-            if arg in assignment:
-                connected += 1
-            else:
-                new_vars += 1
-        return (new_vars, -connected, index.count(atom.predicate, hi))
-
-    return min(remaining, key=score)
-
-
-def _iter_bounded_matches(
-    items: List[Tuple[Atom, Optional[int]]],
-    index: AtomIndex,
-    assignment: Assignment,
-) -> Iterator[Assignment]:
-    """Matches of every ``(atom, hi)`` pair, each against its own prefix."""
-    if not items:
-        yield assignment
-        return
-    item = _pick_next(items, assignment, index)
-    atom, hi = item
-    rest = [other for other in items if other is not item]
-    bound = _bound_positions(atom, assignment)
-    for candidate in index.candidates(atom, bound, hi):
-        extension = extend_match(atom, candidate, assignment)
-        if extension is None:
-            continue
-        yield from _iter_bounded_matches(rest, index, extension)
 
 
 def head_satisfied_indexed(
@@ -115,36 +44,6 @@ def head_satisfied_indexed(
     the planned query evaluator.
     """
     return exists_match(list(tgd.head), index, dict(frontier_assignment), hi=None)
-
-
-def delta_body_matches(
-    tgd: TGD,
-    index: AtomIndex,
-    delta_lo: int,
-    stage_start: int,
-) -> Iterator[Assignment]:
-    """All body matches in the stage-start prefix that use at least one atom
-    with stamp in ``[delta_lo, stage_start)``.
-
-    Classic semi-naive enumeration: a match is seeded at its *first* body
-    position carrying a delta atom, so body positions before the seed are
-    restricted to the pre-delta prefix and each match is produced exactly
-    once (up to repeated body atoms mapping onto the same target atom).
-    With ``delta_lo == 0`` this degenerates to full (naive) enumeration over
-    the prefix, which is exactly what the first stage needs.
-    """
-    body = list(tgd.body)
-    for position, seed_atom in enumerate(body):
-        rest = [
-            (atom, delta_lo if j < position else stage_start)
-            for j, atom in enumerate(body)
-            if j != position
-        ]
-        for candidate in index.atoms(seed_atom.predicate, delta_lo, stage_start):
-            seeded = extend_assignment(seed_atom, candidate, {})
-            if seeded is None:
-                continue
-            yield from _iter_bounded_matches(rest, index, seeded)
 
 
 def assignment_layout(tgd: TGD) -> Tuple[object, ...]:
@@ -265,14 +164,17 @@ def compiled_delta_matches(
     seed_window: Optional[Tuple[int, int]] = None,
     strategy: str = "nested",
 ) -> Iterator[Assignment]:
-    """:func:`delta_body_matches` through the compiled query runtime.
+    """All body matches in the stage-start prefix that use at least one atom
+    with stamp in ``[delta_lo, stage_start)``, as assignment dicts.
 
-    Produces the same assignment set (the differential tests in
-    ``tests/test_engine_seminaive.py`` / ``tests/test_query_eval.py`` hold
-    the two against each other): a thin decode wrapper over
-    :func:`iter_encoded_matches`, which holds the actual enumeration logic
-    — keeping serial and parallel discovery on one code path.  ``strategy``
-    selects the compiled executor (see :func:`select_delta_executor`).
+    Classic semi-naive enumeration: a match is seeded at its *first* body
+    position carrying a delta atom, so each match is produced exactly once;
+    with ``delta_lo == 0`` this degenerates to full (naive) enumeration over
+    the prefix, which is exactly what the first stage needs.  A thin decode
+    wrapper over :func:`iter_encoded_matches`, which holds the actual
+    enumeration logic — keeping serial and parallel discovery on one code
+    path.  ``strategy`` selects the compiled executor (see
+    :func:`select_delta_executor`).
     """
     layout = assignment_layout(tgd)
     seed_lo, seed_hi = seed_window if seed_window is not None else (None, None)
@@ -281,18 +183,3 @@ def compiled_delta_matches(
         tgd, layout, index, delta_lo, stage_start, seed_lo, seed_hi, strategy
     ):
         yield {variable: term(vid) for variable, vid in zip(layout, row)}
-
-
-def delta_frontier_keys(
-    tgd: TGD,
-    index: AtomIndex,
-    delta_lo: int,
-    stage_start: int,
-) -> Iterator[FrontierKey]:
-    """Distinct frontier keys of the delta body matches, each yielded once."""
-    seen: set = set()
-    for assignment in delta_body_matches(tgd, index, delta_lo, stage_start):
-        key = frontier_key(tgd, assignment)
-        if key not in seen:
-            seen.add(key)
-            yield key

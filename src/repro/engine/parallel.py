@@ -11,21 +11,18 @@ the posting storage went columnar, shares the fact columns through
 
 How a stage's discovery runs with ``workers=N``:
 
-1. **Sync** — by default the engine mirrors its index's flat posting
-   columns into shared-memory segments (:mod:`repro.engine.shm`) and sends
-   only a :class:`~repro.engine.shm.ShmSync` control message: the
-   ``(watermark, segment directory, symbol-table suffix)`` triple.  Each
-   worker attaches the named segments once and re-points its replica's
-   posting columns at ``memoryview`` slices — zero fact bytes cross the
-   pipe, regardless of how large the stage's delta was.  The pickled
-   :class:`~repro.engine.indexes.WireSlice` protocol (facts as
-   ``(stamp, predicate ID, row)`` triples) remains the fallback wire for
-   detached/cross-host replicas and platforms without shared memory
-   (``shared_memory=False`` forces it).  Either way the replica ends up
-   with bit-identical stamps, posting offsets and interned IDs (replicas
-   never intern anything themselves — rule constants and predicates are
-   pre-interned parent-side before the first sync, and facts only ever
-   arrive through syncs).
+1. **Sync** — the engine mirrors its index's flat posting columns into
+   shared-memory segments (:mod:`repro.engine.shm`) and sends only a
+   :class:`~repro.engine.shm.ShmSync` control message: the ``(watermark,
+   segment directory, symbol-table suffix)`` triple.  Each worker attaches
+   the named segments once and re-points its replica's posting columns at
+   ``memoryview`` slices — zero fact bytes cross the pipe, regardless of
+   how large the stage's delta was.  The replica ends up with bit-identical
+   stamps, posting offsets and interned IDs (replicas never intern anything
+   themselves — rule constants and predicates are pre-interned parent-side
+   before the first sync, and facts only ever arrive through syncs).  Shared
+   memory is the only transport: when it gives out (a full ``/dev/shm``) the
+   pool closes itself and the supervisor finishes the run serially.
 2. **Partition** — one task per TGD; when the rule set is narrower than the
    pool (skewed workloads), each TGD's delta window is additionally split
    into disjoint stamp sub-windows.  A match is seeded exactly at its first
@@ -34,41 +31,40 @@ How a stage's discovery runs with ``workers=N``:
    worker produces a match another worker also produces, and the union is
    exactly the serial enumeration.
 3. **Match** — each worker runs the compiled delta discovery
-   (:func:`repro.engine.delta.compiled_delta_matches`' register programs,
-   plan-cached on the replica across stages) and returns candidates as
-   interned-ID rows in a canonical per-TGD variable order.
+   (:func:`task_rows` over :func:`repro.engine.delta.iter_encoded_matches`'
+   register programs, plan-cached on the replica across stages) and returns
+   candidates as interned-ID rows in a canonical per-TGD variable order.
 4. **Merge** — the engine gathers rows task by task (never by completion
-   order), decodes them through its own interner, deduplicates and sorts
-   exactly as the serial path does.  Discovery order therefore cannot leak
-   into trigger order: the firing pass — still strictly serial, as the
-   paper's chase discipline demands — sees the same canonical candidate
-   sequence as a ``workers=0`` run, bit for bit.  The differential harness
-   (``tests/test_differential_modes.py``) pins this across strategies and
-   worker counts.
+   order) and decodes them through its own interner (:func:`merge_rows`);
+   the engine deduplicates and sorts exactly as the serial path does.
+   Discovery order therefore cannot leak into trigger order: the firing
+   pass — still strictly serial, as the paper's chase discipline demands —
+   sees the same canonical candidate sequence as a ``workers=0`` run, bit
+   for bit.  The differential harness (``tests/test_differential_modes.py``)
+   pins this across strategies and worker counts.
 
 Fault tolerance
 ---------------
 
-:meth:`ParallelDiscovery.run_stage` is the supervised primitive underneath
-:mod:`repro.engine.resilience`: it dispatches a stage, gathers with an
-optional **deadline** (``multiprocessing.connection.wait``), and instead of
-raising on the first problem returns a :class:`StageOutcome` that records,
-per failed worker, *what* went wrong (``crash`` — the pipe hit EOF or the
-send broke; ``hang`` — the deadline expired; ``generation`` / ``truncate``
-/ ``attach`` — the worker's replica validation tripped, see
-:class:`ReplicaDesync`; ``error`` — any other remote exception) and *which
-tasks* were lost.  With ``heal=True`` every faulted worker is terminated
-and respawned against the **current** shm generation: a respawned worker is
-marked *fresh* and receives a full-state sync
-(:meth:`~repro.engine.shm.SharedColumnStore.snapshot` / a full
-``export_slice``) on its next dispatch instead of an incremental suffix it
-could not interpret.  Because the merge is keyed by the task list — never
-by which worker computed a row, or when — re-dispatching lost tasks to
-surviving workers is invisible to the result: bit-identity is preserved by
-construction.  The legacy :meth:`discover` keeps the strict pre-PR-8
-contract (any fault poisons the pool and raises :class:`WorkerError`);
-engines get the retrying/degrading behaviour by wrapping the pool in a
-:class:`~repro.engine.resilience.SupervisedDiscovery`.
+:meth:`ParallelDiscovery.run_stage` is the one dispatch primitive, driven by
+:class:`~repro.engine.resilience.SupervisedDiscovery`: it dispatches a
+stage, gathers with an optional **deadline**
+(``multiprocessing.connection.wait``), and instead of raising on the first
+problem returns a :class:`StageOutcome` that records, per failed worker,
+*what* went wrong (``crash`` — the pipe hit EOF or the send broke; ``hang``
+— the deadline expired; ``generation`` / ``truncate`` / ``attach`` — the
+worker's replica validation tripped, see :class:`ReplicaDesync`; ``error``
+— any other remote exception) and *which tasks* were lost.  Every faulted
+worker is terminated and respawned against the **current** shm generation:
+a respawned worker is marked *fresh* and receives a full-state sync
+(:meth:`~repro.engine.shm.SharedColumnStore.snapshot`) on its next dispatch
+instead of an incremental suffix it could not interpret.  Because the merge
+is keyed by the task list — never by which worker computed a row, or when —
+re-dispatching lost tasks to surviving workers is invisible to the result:
+bit-identity is preserved by construction.  How many retries a stage gets,
+and whether exhausted recovery degrades to serial discovery or raises
+:class:`WorkerError`, is the supervisor's
+:class:`~repro.engine.resilience.ResilienceConfig`.
 
 Deterministic faults for the differential suite are *injected engine-side*
 (:mod:`repro.testing.faults`): crash/hang directives travel inside the
@@ -94,10 +90,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..chase.chase import ChaseExecutionError
 from ..chase.tgd import TGD
 from ..core.terms import is_rigid
-from ..obs.trace import NULL_SPAN, get_tracer
+from ..obs.trace import get_tracer
 from ..testing.faults import active_plan, tamper_payload
 from .delta import Assignment, assignment_layout, iter_encoded_matches
-from .indexes import AtomIndex, WireCursor
+from .indexes import AtomIndex
 from .shm import DEFAULT_INITIAL_CAPACITY, SHM_AVAILABLE, SegmentCache
 
 #: A discovery task: ``(tgd_index, seed_lo, seed_hi)``; ``None`` bounds mean
@@ -198,8 +194,8 @@ def merge_rows(
 
     The canonical merge: iteration follows *tasks* (the dispatch-time list),
     so which worker computed a row — first try, retry, or the engine's own
-    serial fallback — cannot influence the result.  Shared by the pool and
-    the supervisor (which must merge even after the pool is gone).
+    serial fallback — cannot influence the result.  Runs supervisor-side,
+    so it works even after the pool is gone.
     """
     term = index.interner.term
     results: List[List[Assignment]] = [[] for _ in tgds]
@@ -213,17 +209,46 @@ def merge_rows(
     return results
 
 
+def task_rows(
+    tgds: Sequence[TGD],
+    layouts: Sequence[Tuple[str, ...]],
+    index: AtomIndex,
+    task: Task,
+    delta_lo: int,
+    stage_start: int,
+    strategy: str,
+) -> List[Tuple[int, ...]]:
+    """One task's candidate rows: the enumeration a worker runs per task.
+
+    The supervisor's serial fallback calls it against the engine's own
+    index, so a recomputed task is indistinguishable from a worker reply.
+    """
+    tgd_index, seed_lo, seed_hi = task
+    return list(
+        iter_encoded_matches(
+            tgds[tgd_index],
+            layouts[tgd_index],
+            index,
+            delta_lo,
+            stage_start,
+            seed_lo,
+            seed_hi,
+            strategy,
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_main(conn, tgds: Sequence[TGD]) -> None:
     """The worker process loop: sync the replica, run tasks, ship rows back.
 
-    Messages in: ``("run", (transport, payload), delta_lo, stage_start,
-    tasks, strategy, fault_directives, atoms_total)`` where the sync payload
-    is either ``("shm", ShmSync-or-None)`` — attach/re-bind shared-memory
-    segments — or ``("wire", WireSlice-or-None)`` — replay pickled fact rows
-    (the fallback wire); ``("reset",)`` (drop the replica — a keep-alive
+    Messages in: ``("run", sync, delta_lo, stage_start, tasks, strategy,
+    fault_directives, atoms_total)`` where ``sync`` is a
+    :class:`~repro.engine.shm.ShmSync` to attach/re-bind shared-memory
+    segments from, or ``None`` when nothing changed; ``("reset",)`` (drop
+    the replica — a keep-alive
     pool is being re-bound to a fresh engine index, whose sync stream starts
     over with new stamps and a new interner; segment attachments are kept,
     the store reuses them); and ``("stop",)``.  Messages out: ``("ok",
@@ -299,7 +324,7 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
             try:
                 (
                     _,
-                    (transport, payload),
+                    payload,
                     delta_lo,
                     stage_start,
                     tasks,
@@ -320,10 +345,7 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
                                 f"{payload.rebuilds} != replica generation "
                                 f"{replica.rebuilds}"
                             )
-                    if transport == "shm":
-                        replica.apply_shared(payload, segments)
-                    else:
-                        replica.apply_slice(payload)
+                    replica.apply_shared(payload, segments)
                     synced_once = True
                 if atoms_total is not None:
                     held = sum(
@@ -349,23 +371,20 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
                 interner = replica.interner
                 synced = (interner.term_count(), interner.predicate_count())
                 results: List[List[Tuple[int, ...]]] = []
-                for ordinal, (tgd_index, seed_lo, seed_hi) in enumerate(tasks):
+                for ordinal, task in enumerate(tasks):
                     if ordinal in hangs:
                         time.sleep(hangs[ordinal])
                     if crash_at == ordinal:
                         os._exit(CRASH_EXIT_CODE)
                     results.append(
-                        list(
-                            iter_encoded_matches(
-                                tgds[tgd_index],
-                                layouts[tgd_index],
-                                replica,
-                                delta_lo,
-                                stage_start,
-                                seed_lo,
-                                seed_hi,
-                                strategy,
-                            )
+                        task_rows(
+                            tgds,
+                            layouts,
+                            replica,
+                            task,
+                            delta_lo,
+                            stage_start,
+                            strategy,
                         )
                     )
                 if synced != (interner.term_count(), interner.predicate_count()):
@@ -393,11 +412,11 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
 class ParallelDiscovery:
     """A pool of discovery workers bound to one TGD set.
 
-    Bound to an engine across runs (keep-alive via :meth:`reset`), used once
-    per stage through :meth:`discover` — or, under supervision, through the
-    fault-reporting :meth:`run_stage` — and closed in the engine's
-    ``finally``.  Also usable directly — the benchmark drives it against a
-    standalone index.
+    Bound to an engine across runs (keep-alive via :meth:`reset`), driven
+    once per stage (plus retries) through :meth:`run_stage` by the engine's
+    :class:`~repro.engine.resilience.SupervisedDiscovery`, and closed in the
+    engine's ``finally``.  Also usable directly — the benchmark wraps it in
+    a supervisor against a standalone index.
     """
 
     def __init__(
@@ -406,29 +425,18 @@ class ParallelDiscovery:
         workers: int,
         start_method: Optional[str] = None,
         min_window_split: int = MIN_WINDOW_SPLIT,
-        shared_memory: Optional[bool] = None,
         shm_initial_capacity: int = DEFAULT_INITIAL_CAPACITY,
     ) -> None:
         if workers < 2:
             raise ValueError("a discovery pool needs at least 2 workers")
-        if shared_memory and not SHM_AVAILABLE:  # pragma: no cover - platform
+        if not SHM_AVAILABLE:  # pragma: no cover - platform
             raise RuntimeError(
-                "shared_memory=True but multiprocessing.shared_memory "
-                "is unavailable on this platform"
+                "a discovery pool needs multiprocessing.shared_memory, "
+                "which is unavailable on this platform"
             )
         self._tgds = list(tgds)
-        self._layouts = [assignment_layout(tgd) for tgd in self._tgds]
         self._min_window_split = min_window_split
-        self._cursor: Optional[WireCursor] = None
         self._preinterned = False
-        #: ``None`` auto-selects: shared memory when the platform has it,
-        #: the pickled wire otherwise.  A mid-run shm failure (e.g. a full
-        #: ``/dev/shm``) downgrades to the wire permanently — replicas are
-        #: rebuilt from a reset slice, so the run stays correct.
-        self.shared_memory_requested = (
-            SHM_AVAILABLE if shared_memory is None else shared_memory
-        )
-        self._use_shm = self.shared_memory_requested
         self._shm_initial_capacity = shm_initial_capacity
         self._store = None
         #: Workers respawned since the last full sync: their replicas are
@@ -526,16 +534,16 @@ class ParallelDiscovery:
             pass
 
     def reset(self) -> None:
-        """Drop every worker's replica; the next :meth:`discover` re-syncs.
+        """Drop every worker's replica; the next :meth:`run_stage` re-syncs.
 
         The keep-alive handshake: a pool outlives a single chase run (see
         :meth:`SemiNaiveChaseEngine.close`), but each run builds a fresh
         engine-side index whose stamps and interner start over — so the
-        replicas, cursor and pre-interning state must start over with it.
-        Worker processes (and their imported modules) are reused.  A worker
-        found dead here (killed between runs) is **respawned**, not fatal:
-        the next sync after a reset ships full state to everyone anyway, so
-        a recovered pool is indistinguishable from a fresh one.
+        replicas, the shm mirror and the pre-interning state must start over
+        with it.  Worker processes (and their imported modules) are reused.
+        A worker found dead here (killed between runs) is **respawned**, not
+        fatal: the next sync after a reset ships full state to everyone
+        anyway, so a recovered pool is indistinguishable from a fresh one.
         """
         if self._conns is None:
             raise RuntimeError("discovery pool is closed")
@@ -546,7 +554,6 @@ class ParallelDiscovery:
                 # Died between runs (kill/OOM).  A respawned worker starts
                 # with an empty replica — exactly the post-reset state.
                 self._respawn_worker(worker_id)
-        self._cursor = None
         self._preinterned = False
         # The first sync of the next run is reset=True full state for every
         # worker; nobody needs the special fresh-worker payload.
@@ -589,39 +596,49 @@ class ParallelDiscovery:
         stage: Optional[int] = None,
         deadline: Optional[float] = None,
         tasks: Optional[List[Task]] = None,
-        heal: bool = True,
     ) -> StageOutcome:
         """Dispatch one stage (or a retry's task subset) and gather with
-        fault detection; the supervised primitive.
+        fault detection.
 
-        Never raises on worker failure — failures come back classified in
-        :attr:`StageOutcome.faults` with the tasks they lost, and (with
-        ``heal=True``) every faulted worker has already been replaced by a
-        fresh one marked for full-state sync, so the caller can immediately
-        re-dispatch the lost tasks.  ``deadline`` bounds the *gather* (in
-        seconds): workers still silent when it expires are treated as hung.
-        ``stage`` is the engine's 1-based stage number — the coordinate the
-        fault injector (:mod:`repro.testing.faults`) keys on; injection is
-        disabled when it is ``None``.  The only raise is :class:`WorkerError`
-        when healing itself fails (the pool is closed first).
+        Does not raise on worker failure — failures come back classified in
+        :attr:`StageOutcome.faults` with the tasks they lost, and every
+        faulted worker has already been replaced by a fresh one marked for
+        full-state sync, so the caller can immediately re-dispatch the lost
+        tasks.  ``deadline`` bounds the *gather* (in seconds): workers still
+        silent when it expires are treated as hung.  ``stage`` is the
+        engine's 1-based stage number — the coordinate the fault injector
+        (:mod:`repro.testing.faults`) keys on; injection is disabled when it
+        is ``None``.  The only raise is :class:`WorkerError`, after closing
+        the pool, when the shared-memory sync fails (``OSError``, e.g. a
+        full ``/dev/shm``) or healing itself fails.
         """
         if self._conns is None:
             raise RuntimeError("discovery pool is closed")
         tracer = get_tracer()
         self._preintern(index)
-        payload = self._sync_payload(index)
-        transport, body = payload
-        if body is not None and body.reset:
-            # A reset sync is full state for everyone; fresh workers need
-            # no special payload this dispatch.
-            self._fresh.clear()
+        try:
+            store = self._store
+            if store is None or store.closed:
+                from .shm import SharedColumnStore
+
+                store = self._store = SharedColumnStore(
+                    self._shm_initial_capacity
+                )
+            payload = store.sync(index)
+            # A reset sync is full state for everyone; fresh workers need no
+            # special payload this dispatch.
+            if payload is not None and payload.reset:
+                self._fresh.clear()
+            full_payload = store.snapshot(index) if self._fresh else None
+        except OSError as error:
+            self.close()
+            raise WorkerError(
+                f"shared-memory sync failed: {error!r}"
+            ) from error
         if tasks is None:
             tasks = self._plan_tasks(delta_lo, stage_start)
         worker_count = len(self._conns)
         parts = [tasks[offset::worker_count] for offset in range(worker_count)]
-        full_payload = None
-        if self._fresh:
-            full_payload = self._full_payload(index, transport)
         # The engine's own atom count at dispatch: the truncation oracle the
         # workers validate against (watermarks are incomparable across
         # rebuilds; the atom total is not).
@@ -630,7 +647,7 @@ class ParallelDiscovery:
         )
         # ---- deterministic fault injection (engine-side) --------------
         directives: Dict[int, List[Tuple]] = {}
-        payload_overrides: Dict[int, Tuple[str, object]] = {}
+        payload_overrides: Dict[int, object] = {}
         injected = 0
         plan = active_plan() if stage is not None else None
         if plan is not None:
@@ -661,10 +678,10 @@ class ParallelDiscovery:
                             if victim in self._fresh and full_payload is not None
                             else payload
                         )
-                    tampered = tamper_payload(fault.kind, transport, current[1])
+                    tampered = tamper_payload(fault.kind, current)
                     if tampered is None:
                         continue  # nothing to tamper this stage; stays armed
-                    payload_overrides[victim] = (transport, tampered)
+                    payload_overrides[victim] = tampered
                 struck.add(victim)
                 plan.consume(fault)
                 injected += 1
@@ -716,24 +733,24 @@ class ParallelDiscovery:
             if tracer is not None:
                 # Priced only while tracing: the engine never serialises the
                 # payload itself (each pipe send does), so this pickle exists
-                # purely to tag the worker events with a byte count.  On the
-                # shm path this is the whole per-stage shipped cost — the
-                # control message; fact bytes live in the segments.
+                # purely to tag the worker events with a byte count — the
+                # whole per-stage shipped cost, since fact bytes live in the
+                # segments.
                 import pickle
 
-                sent_body = send_payload[1]
-                wire_bytes = byte_cache.get(id(sent_body))
+                wire_bytes = byte_cache.get(id(send_payload))
                 if wire_bytes is None:
                     wire_bytes = (
-                        0 if sent_body is None else len(pickle.dumps(sent_body))
+                        0
+                        if send_payload is None
+                        else len(pickle.dumps(send_payload))
                     )
-                    byte_cache[id(sent_body)] = wire_bytes
+                    byte_cache[id(send_payload)] = wire_bytes
                 tracer.event(
                     "parallel.worker",
                     worker=worker_id,
                     tasks=len(part),
                     wire_bytes=wire_bytes,
-                    transport=send_payload[0],
                 )
         # ---- gather (with optional deadline) --------------------------
         deadline_at = None if deadline is None else time.monotonic() + deadline
@@ -784,7 +801,7 @@ class ParallelDiscovery:
                 for task, rows in zip(part, reply[1]):
                     outcome.rows_by_task[task] = rows
         # ---- heal -----------------------------------------------------
-        if heal and outcome.faults:
+        if outcome.faults:
             try:
                 for fault in outcome.faults:
                     self._respawn_worker(fault.worker)
@@ -796,180 +813,14 @@ class ParallelDiscovery:
         return outcome
 
     # ------------------------------------------------------------------
-    def merge(
-        self, outcome_tasks: Sequence[Task], rows_by_task, index: AtomIndex
-    ) -> List[List[Assignment]]:
-        """Canonical merge of gathered rows (see :func:`merge_rows`)."""
-        return merge_rows(
-            self._tgds, self._layouts, index, outcome_tasks, rows_by_task
-        )
-
-    def serial_rows(
-        self,
-        index: AtomIndex,
-        task: Task,
-        delta_lo: int,
-        stage_start: int,
-        strategy: str = "nested",
-    ) -> List[Tuple[int, ...]]:
-        """One task's rows computed engine-side — the serial fallback.
-
-        Exactly the enumeration a worker would have run
-        (:func:`~repro.engine.delta.iter_encoded_matches` over the same
-        windows), against the engine's own index: slotting the result into
-        ``rows_by_task`` is indistinguishable from a worker reply.
-        """
-        tgd_index, seed_lo, seed_hi = task
-        return list(
-            iter_encoded_matches(
-                self._tgds[tgd_index],
-                self._layouts[tgd_index],
-                index,
-                delta_lo,
-                stage_start,
-                seed_lo,
-                seed_hi,
-                strategy,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def discover(
-        self,
-        index: AtomIndex,
-        delta_lo: int,
-        stage_start: int,
-        strategy: str = "nested",
-        stage: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> List[List[Assignment]]:
-        """One stage's batch discovery, fanned out and canonically merged.
-
-        Returns one assignment list per TGD (rule order), containing exactly
-        the assignments the serial
-        :func:`~repro.engine.delta.compiled_delta_matches` loop would have
-        produced.  Merge order is fixed by the task list, never by worker
-        completion order, so the result is deterministic for any pool size.
-        ``strategy`` travels with the stage message and selects the compiled
-        executor inside each worker (the engine forwards its
-        ``match_strategy``); replica trie/plan caches persist across stages
-        either way.
-
-        This is the *strict* entry point: any worker fault poisons the pool
-        (closed, so replicas that may have desynced can never serve again)
-        and raises :class:`WorkerError`.  Retry, respawn and serial
-        degradation live one layer up, in
-        :class:`~repro.engine.resilience.SupervisedDiscovery`, which drives
-        :meth:`run_stage` directly.
-        """
-        if self._conns is None:
-            raise RuntimeError("discovery pool is closed")
-        tracer = get_tracer()
-        span = (
-            tracer.span(
-                "parallel.discover",
-                workers=len(self._conns),
-                delta_lo=delta_lo,
-                stage_start=stage_start,
-            )
-            if tracer is not None
-            else NULL_SPAN
-        )
-        with span:
-            outcome = self.run_stage(
-                index,
-                delta_lo,
-                stage_start,
-                strategy,
-                stage=stage,
-                deadline=deadline,
-                heal=False,
-            )
-            if outcome.faults:
-                # A failed worker may have applied the slice only partially,
-                # and the wire cursor has already advanced past it: the
-                # replicas can no longer be trusted to match the export
-                # stream.  Poison the pool so a caller that catches the
-                # error cannot keep using silently-desynced replicas.
-                self.close()
-                detail = "\n".join(
-                    f"[worker {fault.worker}: {fault.kind}]\n{fault.detail}"
-                    for fault in outcome.faults
-                )
-                raise WorkerError(f"discovery worker failed:\n{detail}")
-            results = self.merge(outcome.tasks, outcome.rows_by_task, index)
-            span.note(
-                tasks=len(outcome.tasks),
-                candidates=sum(len(bucket) for bucket in results),
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    @property
-    def shared_memory(self) -> bool:
-        """True while syncs go through shared-memory segments.
-
-        Starts as the resolved ``shared_memory=`` constructor choice and
-        flips to False permanently if the shm backend fails mid-run (the
-        pool downgrades to the pickled wire and rebuilds the replicas).
-        """
-        return self._use_shm
-
-    def _sync_payload(self, index: AtomIndex):
-        """The tagged sync payload for this stage: shm control or wire slice."""
-        if self._use_shm:
-            try:
-                store = self._store
-                if store is None or store.closed:
-                    from .shm import SharedColumnStore
-
-                    store = self._store = SharedColumnStore(
-                        self._shm_initial_capacity
-                    )
-                return ("shm", store.sync(index))
-            except OSError:
-                # Shared memory gave out (e.g. /dev/shm full or unmounted).
-                # Downgrade to the pickled wire for the rest of the pool's
-                # life.  Replica symbol tables are append-only and survive
-                # the switch, so the hand-off cursor carries the symbol
-                # counts shm already shipped; ``rebuilds=-1`` can never match
-                # the index, forcing a reset slice that rebuilds the fact
-                # tables from scratch.
-                self._use_shm = False
-                store, self._store = self._store, None
-                terms = predicates = 0
-                if store is not None:
-                    terms, predicates = store.shipped_symbols()
-                    store.close()
-                self._cursor = WireCursor(
-                    rebuilds=-1,
-                    watermark=0,
-                    term_count=terms,
-                    predicate_count=predicates,
-                )
-        wire, self._cursor = index.export_slice(self._cursor)
-        return ("wire", wire)
-
-    def _full_payload(self, index: AtomIndex, transport: str):
-        """A full-state sync for a fresh (respawned) worker's empty replica.
-
-        Must match the *transport the others are on* this stage, and must
-        not disturb the incremental stream: the shm snapshot re-ships the
-        retained directory, the wire path exports from a ``None`` cursor
-        without advancing the pool's own.
-        """
-        if transport == "shm" and self._store is not None:
-            return ("shm", self._store.snapshot(index))
-        wire, _ = index.export_slice(None)
-        return ("wire", wire)
-
     def _preintern(self, index: AtomIndex) -> None:
         """Intern every symbol a worker's compiler could touch, engine-side.
 
         Compiling a body interns its predicates and rigid constants; doing
-        it here **before the first export** guarantees those IDs travel in
-        the slice and the replicas never allocate IDs of their own — the
-        alignment invariant of :meth:`Interner.install_terms`.
+        it here **before the first sync** guarantees those IDs travel in
+        the sync's symbol suffix and the replicas never allocate IDs of
+        their own — the alignment invariant of
+        :meth:`Interner.install_terms`.
         """
         if self._preinterned:
             return

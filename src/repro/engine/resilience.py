@@ -1,12 +1,10 @@
 """Fault-tolerant supervision of the parallel discovery pool.
 
-The parallel chase of :mod:`repro.engine.parallel` was built strict: any
-worker failure poisoned the pool and surfaced as a
-:class:`~repro.engine.parallel.WorkerError`, and the run died with it.
-Correct, but brittle — a single OOM-killed worker (or a full ``/dev/shm``
-on one attach) should not cost a long chase its progress when the stage's
-lost work is both *detectable* and *recomputable*.  This module is the
-supervision layer that makes the parallel engine degrade instead of die:
+A single OOM-killed worker (or a full ``/dev/shm`` on one attach) should
+not cost a long chase its progress when the stage's lost work is both
+*detectable* and *recomputable*.  This module is the supervision layer that
+makes the parallel engine of :mod:`repro.engine.parallel` degrade instead
+of die — and the only way the engine drives its pool:
 
 **Tier 0 — retry in place.**  :class:`SupervisedDiscovery` drives the
 pool's fault-reporting primitive
@@ -20,12 +18,16 @@ never an incremental suffix it could not interpret — and only the *lost
 tasks* are re-dispatched, with exponential backoff between attempts.
 
 **Tier 1 — serial fallback.**  When a stage exhausts its retry budget (or
-the pool itself cannot be healed), the supervisor computes the still-missing
-tasks **engine-side** via the exact per-task enumeration the workers run
-(:func:`~repro.engine.delta.iter_encoded_matches` over the same seed
-windows), closes the pool, and runs every subsequent stage of the run
-serially.  Degradation is terminal *per run*: the next run on a keep-alive
-engine builds a fresh pool and is parallel again.
+the pool itself cannot be healed, or its shared-memory sync fails), the
+supervisor computes the still-missing tasks **engine-side** via the exact
+per-task enumeration the workers run
+(:func:`~repro.engine.parallel.task_rows` over the same seed windows),
+closes the pool, and runs every subsequent stage of the run serially.
+Degradation is terminal *per run*: the next run on a keep-alive engine
+builds a fresh pool and is parallel again.  With ``serial_fallback=False``
+(``resilience=False`` is zero retries and no fallback) the supervisor
+closes the pool and raises :class:`~repro.engine.parallel.WorkerError`
+instead.
 
 **Bit-identity throughout.**  The canonical merge is keyed by the dispatch
 task list — never by which worker (or which attempt, or which tier)
@@ -33,7 +35,8 @@ produced a row — so retried, re-dispatched and serially-recomputed
 partitions are indistinguishable in the output.  The differential suite
 (``tests/test_resilience.py``) pins this: every fault class, at seeded
 random coordinates, either completes bit-identical to a serial run or
-raises a typed :class:`~repro.chase.chase.ChaseExecutionError`.
+raises a typed :class:`~repro.engine.parallel.WorkerError` (a
+:class:`~repro.chase.chase.ChaseExecutionError`).
 
 Every decision is observable: ``parallel.fault.injected`` (from the
 injector), ``parallel.fault.<kind>`` per detected fault, ``parallel.retry``
@@ -51,11 +54,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..chase.chase import ChaseExecutionError
 from ..chase.tgd import TGD
 from ..obs.trace import NULL_SPAN, get_tracer
 from .delta import Assignment, assignment_layout, compiled_delta_matches
-from .parallel import ParallelDiscovery, Task, WorkerError, merge_rows
+from .parallel import ParallelDiscovery, Task, WorkerError, merge_rows, task_rows
 
 
 class ResilienceConfigError(ValueError):
@@ -127,11 +129,10 @@ class ResilienceConfig:
     pipe death), two retries with a short exponential backoff, and serial
     fallback as the terminal tier.  ``serial_fallback=False`` turns
     exhausted recovery into a typed
-    :class:`~repro.chase.chase.ChaseExecutionError` instead — for callers
-    that would rather fail a run than absorb a serial stage.
+    :class:`~repro.engine.parallel.WorkerError` instead — for callers that
+    would rather fail a run than absorb a serial stage.
     """
 
-    enabled: bool = True
     #: Per-stage gather deadline in seconds (``None`` = wait forever).
     #: Required for *hang* detection — crashes are caught without it.
     stage_deadline: Optional[float] = None
@@ -140,7 +141,7 @@ class ResilienceConfig:
     #: Sleep before retry ``k`` is ``backoff_seconds * 2**(k-1)``.
     backoff_seconds: float = 0.05
     #: Exhausted retries: recompute the lost tasks serially and degrade the
-    #: rest of the run (True), or raise ``ChaseExecutionError`` (False).
+    #: rest of the run (True), or raise ``WorkerError`` (False).
     serial_fallback: bool = True
 
     @classmethod
@@ -177,20 +178,21 @@ class ResilienceConfig:
         )
 
 
-def resolve_resilience(spec) -> Optional[ResilienceConfig]:
-    """Normalise an engine's ``resilience`` field to a config or ``None``.
+def resolve_resilience(spec) -> ResilienceConfig:
+    """Normalise an engine's ``resilience`` field to a config.
 
     ``None`` (the default) means *supervised with environment defaults*;
-    ``False`` disables supervision (the strict pre-PR-8 behaviour);
-    ``True`` is the default config; a :class:`ResilienceConfig` is taken
-    as-is.  Returns ``None`` exactly when supervision is off.
+    ``True`` is the same; ``False`` is strict fail-fast — zero retries and
+    no serial fallback, so the first worker fault raises
+    :class:`~repro.engine.parallel.WorkerError`; a
+    :class:`ResilienceConfig` is taken as-is.
     """
     if spec is False:
-        return None
+        return ResilienceConfig(max_retries=0, serial_fallback=False)
     if spec is None or spec is True:
         return ResilienceConfig.from_env()
     if isinstance(spec, ResilienceConfig):
-        return spec if spec.enabled else None
+        return spec
     raise TypeError(
         f"resilience must be None, a bool or a ResilienceConfig, "
         f"got {type(spec).__name__}"
@@ -200,18 +202,18 @@ def resolve_resilience(spec) -> Optional[ResilienceConfig]:
 class SupervisedDiscovery:
     """Per-run supervisor wrapping one :class:`ParallelDiscovery` pool.
 
-    Drop-in for the pool at the engine's discovery call site — same
+    The engine's discovery call site:
     ``discover(index, delta_lo, stage_start, strategy=..., stage=...)``
-    shape, same per-TGD assignment lists, same single
-    ``parallel.discover`` span per stage — but faults inside the stage are
-    retried, healed or degraded per the :class:`ResilienceConfig` instead
-    of poisoning the run.  One supervisor serves one run: :attr:`degraded`
-    and the :attr:`counts` ledger are per-run state.
+    returns one assignment list per TGD under a single
+    ``parallel.discover`` span per stage; faults inside the stage are
+    retried, healed, degraded or raised per the :class:`ResilienceConfig`.
+    One supervisor serves one run: :attr:`degraded` and the :attr:`counts`
+    ledger are per-run state.
     """
 
     def __init__(
         self,
-        pool: Optional[ParallelDiscovery],
+        pool: ParallelDiscovery,
         config: ResilienceConfig,
         tgds: Sequence[TGD],
     ) -> None:
@@ -242,7 +244,7 @@ class SupervisedDiscovery:
         """One stage's discovery under supervision (see the module docs)."""
         tracer = get_tracer()
         pool = self._pool
-        pool_live = pool is not None and not pool.closed
+        pool_live = not pool.closed
         span = (
             tracer.span(
                 "parallel.discover",
@@ -277,11 +279,10 @@ class SupervisedDiscovery:
                         stage=stage,
                         deadline=config.stage_deadline,
                         tasks=lost,
-                        heal=True,
                     )
                 except WorkerError as error:
-                    # The pool itself could not be healed (respawn failed;
-                    # it is already closed).  Terminal for the pool: either
+                    # The pool itself could not be healed or synced (it is
+                    # already closed).  Terminal for the pool: either
                     # finish this stage — and the run — serially, or
                     # surface the typed error.
                     if not config.serial_fallback:
@@ -304,10 +305,10 @@ class SupervisedDiscovery:
                     self._degrade(
                         tracer, stage, f"pool unrecoverable: {error}", lost
                     )
-                    for task in lost:
-                        rows_by_task[task] = self._serial_task(
-                            index, task, delta_lo, stage_start, strategy
-                        )
+                    self._serial_tasks(
+                        rows_by_task, index, lost, delta_lo, stage_start,
+                        strategy,
+                    )
                     break
                 if tasks is None:
                     # The merge is keyed by the *first* dispatch's task
@@ -333,14 +334,17 @@ class SupervisedDiscovery:
                     break
                 if attempt >= config.max_retries:
                     if not config.serial_fallback:
-                        detail = "; ".join(
-                            f"worker {f.worker}: {f.kind}"
+                        # Exhausted and no fallback: the run fails, and the
+                        # pool goes with it.
+                        pool.close()
+                        detail = "\n".join(
+                            f"[worker {f.worker}: {f.kind}]\n{f.detail}"
                             for f in outcome.faults
                         )
-                        raise ChaseExecutionError(
+                        raise WorkerError(
                             f"stage {stage}: {len(lost)} discovery task(s) "
-                            f"still lost after {attempt} retries ({detail}) "
-                            f"and serial fallback is disabled"
+                            f"still lost after {attempt} retries and serial "
+                            f"fallback is disabled:\n{detail}"
                         )
                     self._degrade(
                         tracer,
@@ -348,10 +352,10 @@ class SupervisedDiscovery:
                         f"retry budget of {config.max_retries} exhausted",
                         lost,
                     )
-                    for task in lost:
-                        rows_by_task[task] = self._serial_task(
-                            index, task, delta_lo, stage_start, strategy
-                        )
+                    self._serial_tasks(
+                        rows_by_task, index, lost, delta_lo, stage_start,
+                        strategy,
+                    )
                     break
                 attempt += 1
                 self.counts["retried"] += 1
@@ -387,31 +391,26 @@ class SupervisedDiscovery:
                     reason=reason,
                     lost_tasks=len(lost),
                 )
-        pool = self._pool
-        if pool is not None and not pool.closed:
+        if not self._pool.closed:
             # Workers and segments are of no further use this run; release
             # them now rather than at run end.
-            pool.close()
+            self._pool.close()
 
-    def _serial_task(
-        self, index, task: Task, delta_lo: int, stage_start: int, strategy: str
-    ) -> List:
-        """One lost task recomputed engine-side (the workers' enumeration)."""
-        from .delta import iter_encoded_matches
-
-        tgd_index, seed_lo, seed_hi = task
-        return list(
-            iter_encoded_matches(
-                self._tgds[tgd_index],
-                self._layouts[tgd_index],
-                index,
-                delta_lo,
-                stage_start,
-                seed_lo,
-                seed_hi,
+    def _serial_tasks(
+        self,
+        rows_by_task: Dict[Task, List],
+        index,
+        lost: List[Task],
+        delta_lo: int,
+        stage_start: int,
+        strategy: str,
+    ) -> None:
+        """Recompute *lost* tasks engine-side (the workers' enumeration)."""
+        for task in lost:
+            rows_by_task[task] = task_rows(
+                self._tgds, self._layouts, index, task, delta_lo, stage_start,
                 strategy,
             )
-        )
 
     def _serial_all(
         self, index, delta_lo: int, stage_start: int, strategy: str

@@ -77,12 +77,6 @@ class SemiNaiveChaseEngine:
     #: into the canonical order, so the run stays bit-identical either way.
     #: The firing pass is always serial — the chase discipline demands it.
     workers: int = 0
-    #: Replica sync transport for the worker pool: ``None`` auto-selects
-    #: shared-memory posting columns when the platform supports them
-    #: (zero-copy attach, see :mod:`repro.engine.shm`), ``False`` forces
-    #: the pickled wire-slice protocol (detached/cross-host replicas),
-    #: ``True`` demands shared memory.  Output is bit-identical either way.
-    shared_memory: Optional[bool] = None
     #: Compiled executor for delta body matching: ``"nested"`` (the
     #: historical default), ``"hash"``, ``"wcoj"`` (worst-case-optimal
     #: generic join), or ``"auto"`` (upgrade to WCOJ on cyclic bodies over
@@ -94,8 +88,8 @@ class SemiNaiveChaseEngine:
     #: with environment-tunable defaults — dead workers are respawned
     #: against the current shm generation, lost partitions re-dispatched
     #: with bounded retry, and exhausted recovery degrades the run to
-    #: serial discovery; ``False`` restores the strict behaviour (any
-    #: worker fault poisons the pool and raises
+    #: serial discovery; ``False`` means zero retries and no fallback (the
+    #: first worker fault closes the pool and raises
     #: :class:`~repro.engine.parallel.WorkerError`); a
     #: :class:`~repro.engine.resilience.ResilienceConfig` tunes deadlines,
     #: retries and the fallback tier.  Output stays bit-identical on every
@@ -131,21 +125,23 @@ class SemiNaiveChaseEngine:
         self.close()
 
     def _ensure_pool(self):
-        """The pool for the next run: reuse (reset), rebuild, or ``None``."""
-        if not (self.workers and self.workers >= 2 and self.tgds):
-            self.close()
-            return None
+        """The pool for the next run: reuse (reset), rebuild, or ``None``.
+
+        ``None`` — serial discovery — also on platforms without
+        ``multiprocessing.shared_memory``, the pool's only transport.
+        """
         from .shm import SHM_AVAILABLE
 
-        requested = (
-            SHM_AVAILABLE if self.shared_memory is None else self.shared_memory
-        )
+        if not (
+            SHM_AVAILABLE and self.workers and self.workers >= 2 and self.tgds
+        ):
+            self.close()
+            return None
         pool = self._pool
         if (
             pool is not None
             and not pool.closed
             and pool.workers == self.workers
-            and pool.shared_memory_requested == requested
             # The worker processes carry the TGD list they were spawned
             # with, so reuse is only sound while the engine still runs the
             # very same rule objects — anything else rebuilds the pool.
@@ -158,9 +154,7 @@ class SemiNaiveChaseEngine:
         self.close()
         from .parallel import ParallelDiscovery
 
-        self._pool = pool = ParallelDiscovery(
-            self.tgds, self.workers, shared_memory=self.shared_memory
-        )
+        self._pool = pool = ParallelDiscovery(self.tgds, self.workers)
         return pool
 
     # ------------------------------------------------------------------
@@ -196,10 +190,9 @@ class SemiNaiveChaseEngine:
         pool = self._ensure_pool()
         supervisor = None
         if pool is not None:
-            config = resolve_resilience(self.resilience)
-            if config is not None:
-                supervisor = SupervisedDiscovery(pool, config, self.tgds)
-        discoverer = supervisor if supervisor is not None else pool
+            supervisor = SupervisedDiscovery(
+                pool, resolve_resilience(self.resilience), self.tgds
+            )
         # Telemetry handles are fetched once per run; when everything is
         # disabled (tracer None, registry None, collect_stats False) the
         # whole run takes the exact pre-telemetry path — no clock reads, no
@@ -255,7 +248,7 @@ class SemiNaiveChaseEngine:
                             null_factory,
                             provenance,
                             stage,
-                            discoverer,
+                            supervisor,
                             stats=stage_stats,
                             tracer=tracer,
                             span=stage_span,
@@ -392,7 +385,7 @@ class SemiNaiveChaseEngine:
         null_factory: FreshNullFactory,
         provenance: ChaseProvenance,
         stage: int,
-        pool=None,
+        supervisor: Optional[SupervisedDiscovery] = None,
         stats: Optional[StageStats] = None,
         tracer=None,
         span=NULL_SPAN,
@@ -428,13 +421,11 @@ class SemiNaiveChaseEngine:
             else NULL_SPAN
         )
         with discover_span:
-            if pool is not None:
+            if supervisor is not None:
                 started = CLOCK() if timed else 0.0
-                # ``pool`` is either the raw ParallelDiscovery (strict) or a
-                # SupervisedDiscovery (fault-tolerant) — same discover shape.
                 # The stage number travels down as the coordinate the fault
                 # injector and the retry/degrade events key on.
-                per_tgd: Iterable[Iterable[Assignment]] = pool.discover(
+                per_tgd: Iterable[Iterable[Assignment]] = supervisor.discover(
                     index,
                     delta_lo,
                     stage_start,

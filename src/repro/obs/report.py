@@ -359,9 +359,9 @@ class TraceSummary:
     fired: int = 0
     new_atoms: int = 0
     nulls_created: int = 0
-    #: Bytes shipped to parallel workers (sum over ``parallel.worker`` events).
-    #: Under the shared-memory transport this is control-message bytes only —
-    #: compare with :attr:`shm_attached_bytes` to see the saving.
+    #: Bytes shipped to parallel workers (sum over ``parallel.worker`` events):
+    #: the pickled shared-memory control messages only, since fact columns
+    #: live in the segments — compare with :attr:`shm_attached_bytes`.
     wire_bytes: int = 0
     #: Posting-column bytes workers read in place via shared-memory segments
     #: (sum over ``parallel.shm.attach`` events; never crossed a pipe).

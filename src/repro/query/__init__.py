@@ -14,8 +14,6 @@ semi-naive chase engine:
   (a structure chased by :class:`~repro.engine.seminaive.SemiNaiveChaseEngine`
   arrives with its index already warm — no rebuild for the post-chase
   certificate / containment check);
-* :mod:`~repro.query.plan` — greedy most-constrained-first join-order
-  planning with statically precomputed bound positions;
 * :mod:`~repro.query.interning` / :mod:`~repro.query.compile` — the
   compiled runtime: terms and predicates interned to dense int IDs, query
   bodies compiled once into register programs (cached per index, validated
@@ -60,26 +58,21 @@ from .evaluator import (
     evaluate,
     exists_homomorphism,
     exists_match,
-    extend_match,
     find_homomorphism,
     find_isomorphism,
     is_homomorphism,
     iter_homomorphisms,
     iter_matches,
-    iter_plan_matches,
     query_holds,
     query_homomorphisms,
 )
 from .interning import Interner
-from .plan import PlanStep, QueryPlan, plan_atoms
 
 __all__ = [
     "CompiledQuery",
     "EvalContext",
     "Interner",
     "PlanCache",
-    "PlanStep",
-    "QueryPlan",
     "STRATEGIES",
     "Trie",
     "TrieCache",
@@ -96,7 +89,6 @@ __all__ = [
     "execute_wcoj",
     "exists_homomorphism",
     "exists_match",
-    "extend_match",
     "find_homomorphism",
     "find_isomorphism",
     "get_context",
@@ -104,8 +96,6 @@ __all__ = [
     "is_homomorphism",
     "iter_homomorphisms",
     "iter_matches",
-    "iter_plan_matches",
-    "plan_atoms",
     "plan_cache_for",
     "query_holds",
     "query_homomorphisms",

@@ -7,8 +7,8 @@ that repeated evaluations (trigger discovery re-runs the same TGD bodies
 thousands of times per chase) skip planning and variable-layout work
 entirely.
 
-**Compilation.**  The greedy most-constrained-first join order of
-:mod:`repro.query.plan` is fixed once; every distinct non-rigid term gets a
+**Compilation.**  A greedy most-constrained-first join order
+(:func:`_greedy_order`) is fixed once; every distinct non-rigid term gets a
 dense register *slot*, and each argument position of each planned atom
 compiles to one of three ops: ``BIND`` (first occurrence writes the slot),
 ``CHECK_SLOT`` (later occurrence must equal the slot), or ``CHECK_CONST``
@@ -29,8 +29,8 @@ eagerly so the plan stays valid when matching facts appear later.
 **Execution.**  Three executors share the compiled form:
 
 * :func:`execute_nested` — depth-first build-as-you-go probing through the
-  most selective ``(predicate, position, value)`` posting window, the
-  compiled descendant of the PR-2 planned executor; lazy, ideal for
+  most selective ``(predicate, position, value)`` posting window; lazy,
+  ideal for
   ``exists``-style and ``limit=1`` calls;
 * :func:`execute_hash` — breadth-first hash join: per step, one scan of the
   step's posting window builds a table keyed on the already-bound positions,
@@ -280,9 +280,9 @@ def _greedy_order(
 ) -> List[Tuple[Atom, int]]:
     """Most-constrained-first ordering of ``(atom, window)`` pairs.
 
-    Mirrors :func:`repro.query.plan.plan_atoms`: minimise newly introduced
-    variables, prefer connectivity to already-bound terms, break ties on
-    posting-list size.  ``forced_first`` pins one item to the front (the
+    The reference search's heuristic: minimise newly introduced variables,
+    prefer connectivity to already-bound terms, break ties on posting-list
+    size.  ``forced_first`` pins one item to the front (the
     delta seed atom must come first so the seed window drives the scan).
     """
     remaining = list(items)

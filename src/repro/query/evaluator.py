@@ -2,7 +2,7 @@
 
 This is the query-side counterpart of the semi-naive chase engine: the same
 :class:`~repro.engine.indexes.AtomIndex` posting lists that drive delta
-trigger discovery drive a planned join here.  The functional layer at the
+trigger discovery drive the compiled join here.  The functional layer at the
 bottom is a drop-in replacement for :mod:`repro.core.homomorphism` —
 identical solution *sets* (the reference backtracking search stays the
 authoritative oracle, see ``tests/test_query_eval.py`` for the differential
@@ -40,94 +40,11 @@ from ..core.structure import Structure
 from ..core.terms import is_rigid
 from .compile import compiled_for, execute
 from .context import EvalContext, get_context
-from .plan import PlanStep, QueryPlan
 
 if TYPE_CHECKING:  # type-only: keeps repro.query importable before repro.engine
     from ..engine.indexes import AtomIndex
 
 Assignment = Dict[object, object]
-
-
-# ----------------------------------------------------------------------
-# Matching primitives
-# ----------------------------------------------------------------------
-def extend_match(
-    source_atom: Atom, target_atom: Atom, assignment: Assignment
-) -> Optional[Assignment]:
-    """Extend *assignment* so that *source_atom* maps onto *target_atom*.
-
-    Already-bound arguments (which include pre-bound rigid constants and
-    ``fix`` entries) must agree with the target; unbound rigid constants must
-    map to themselves and are *not* added to the assignment; repeated
-    variables must agree.  Returns ``None`` on mismatch, and avoids copying
-    the assignment until the first genuinely new binding.
-    """
-    if len(source_atom.args) != len(target_atom.args):
-        return None
-    extension: Optional[Assignment] = None
-    for src, dst in zip(source_atom.args, target_atom.args):
-        current = assignment if extension is None else extension
-        if src in current:
-            if current[src] != dst:
-                return None
-        elif is_rigid(src):
-            if src != dst:
-                return None
-        else:
-            if extension is None:
-                extension = dict(assignment)
-            extension[src] = dst
-    return assignment if extension is None else extension
-
-
-def _execute(
-    steps: Tuple[PlanStep, ...],
-    position: int,
-    index: AtomIndex,
-    assignment: Assignment,
-    hi: Optional[int],
-) -> Iterator[Assignment]:
-    """Depth-first execution of the plan suffix starting at *position*."""
-    if position == len(steps):
-        yield assignment
-        return
-    step = steps[position]
-    atom = step.atom
-    bound: Dict[int, object] = {}
-    for arg_position in step.bound_positions:
-        arg = atom.args[arg_position]
-        if arg in assignment:
-            bound[arg_position] = assignment[arg]
-        else:  # an unbound rigid constant maps to itself
-            bound[arg_position] = arg
-    for candidate in index.candidates(atom, bound, hi):
-        extension = extend_match(atom, candidate, assignment)
-        if extension is None:
-            continue
-        if extension is assignment:
-            # No new bindings: keep recursing on the shared dict (safe, the
-            # deeper levels copy before they write).
-            yield from _execute(steps, position + 1, index, assignment, hi)
-        else:
-            yield from _execute(steps, position + 1, index, extension, hi)
-
-
-def iter_plan_matches(
-    plan: QueryPlan,
-    index: AtomIndex,
-    assignment: Optional[Assignment] = None,
-    hi: Optional[int] = None,
-) -> Iterator[Assignment]:
-    """All extensions of *assignment* matching every planned atom.
-
-    This is the PR-2 *interpreted* executor, kept as the uncompiled baseline
-    (the plan-cache benchmarks measure the compiled runtime against it) and
-    as a second differential witness next to the reference search.  ``hi``
-    bounds the candidate stamps (``None`` = the full index); the yielded
-    dictionaries are shared with the search — callers that store them must
-    copy (the public APIs below do).
-    """
-    return _execute(plan.steps, 0, index, dict(assignment or {}), hi)
 
 
 # ----------------------------------------------------------------------

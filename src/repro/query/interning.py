@@ -112,12 +112,12 @@ class Interner:
         so installing against a diverged table would silently remap facts.
         The parallel discovery protocol guarantees alignment by pre-interning
         everything a worker could ever intern on its own (rule constants and
-        predicates) before the first export.
+        predicates) before the first sync.
         """
         if base != len(self._terms):
             raise ValueError(
                 f"interner replica out of sync: has {len(self._terms)} terms, "
-                f"wire slice expects {base}"
+                f"sync expects {base}"
             )
         for term in terms:
             self._term_ids[term] = len(self._terms)
@@ -128,7 +128,7 @@ class Interner:
         if base != len(self._predicates):
             raise ValueError(
                 f"interner replica out of sync: has {len(self._predicates)} "
-                f"predicates, wire slice expects {base}"
+                f"predicates, sync expects {base}"
             )
         for name in names:
             self._predicate_ids[name] = len(self._predicates)

@@ -150,7 +150,8 @@ def _resolve_resilience_spec(spec):
     """Translate the wire-level resilience spec into engine terms.
 
     ``None`` → supervised defaults, ``False``/``"strict"`` → strict
-    fail-fast, a dict → an explicit :class:`ResilienceConfig`.
+    fail-fast (zero retries, no serial fallback), a dict → an explicit
+    :class:`ResilienceConfig`.
     """
     if spec is None:
         return None, "default"
@@ -164,7 +165,7 @@ def _resolve_resilience_spec(spec):
                 f"unknown resilience knob(s) {sorted(unknown)}; known: {sorted(allowed)}"
             )
         try:
-            config = ResilienceConfig(enabled=True, **spec)
+            config = ResilienceConfig(**spec)
         except TypeError as exc:
             raise BadRequestError(f"bad resilience spec: {exc}") from exc
         key = tuple(sorted(spec.items()))

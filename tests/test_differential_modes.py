@@ -9,7 +9,8 @@ execution mode against each other:
 * the reference chase (``repro.chase``) — the authoritative semantics,
 * the serial compiled semi-naive engine (``repro.engine``),
 * the parallel engine (``workers=2`` and ``workers=4``) — discovery fanned
-  out over processes, merged back into canonical order,
+  out over processes, merged back into canonical order — and its serial
+  fallback after a shared-memory failure,
 
 for the lazy strategy (where the reference engine defines the expected
 bits) and for the oblivious / semi-oblivious strategies (where the serial
@@ -131,23 +132,32 @@ def test_eager_strategies_parallel_matches_serial(seed, strategy):
 
 
 @pytest.mark.parametrize("seed", _SEEDS[:4])
-def test_wire_fallback_transport_is_bit_identical(seed):
-    # Replicas fed pickled fact slices (the fallback wire for detached or
-    # shm-less hosts) must produce the same bits as the shared-memory
-    # transport and as the serial engine.
-    from repro.engine import SemiNaiveChaseEngine
+def test_shm_failure_serial_fallback_is_bit_identical(seed, monkeypatch):
+    # When shared memory gives out mid-run (at stage 1 or, where the run
+    # has one, stage 2), the pool closes and the supervisor finishes the
+    # run with serial discovery: the fallback must produce the same bits as
+    # the serial engine.
+    from repro.engine.shm import SHM_AVAILABLE, SharedColumnStore
 
+    if not SHM_AVAILABLE:
+        pytest.skip("multiprocessing.shared_memory unavailable")
     rules, instance = random_case(seed)
     serial = run_chase(rules, instance, MAX_STAGES, MAX_ATOMS)
-    wire = run_chase(
-        rules,
-        instance,
-        MAX_STAGES,
-        MAX_ATOMS,
-        engine=SemiNaiveChaseEngine(tgds=[], shared_memory=False),
-        workers=2,
-    )
-    assert_bit_identical(serial, wire, f"wire transport seed={seed}")
+    sync = SharedColumnStore.sync
+    fail_at = min(1 + seed % 2, len(serial.stats.stages))
+    calls = []
+
+    def failing_sync(store, index):
+        calls.append(index)
+        if len(calls) >= fail_at:
+            raise OSError(28, "No space left on device")
+        return sync(store, index)
+
+    monkeypatch.setattr(SharedColumnStore, "sync", failing_sync)
+    fallback = run_chase(rules, instance, MAX_STAGES, MAX_ATOMS, workers=2)
+    assert_bit_identical(serial, fallback, f"shm failure seed={seed}")
+    assert len(calls) == fail_at
+    assert fallback.stats.faults["degraded"] == 1
 
 
 def test_harness_actually_exercises_firings():

@@ -1,13 +1,22 @@
 """Unit tests for parallel batch discovery (repro.engine.parallel).
 
-The wire format (interned fact slices), the replica-index synchronisation
-protocol, the pool's task partitioning (per-TGD and delta-window splitting)
-and the engine-level ``workers=`` opt-in are each pinned here; the
-whole-run bit-identity of the parallel engine across firing strategies
-lives in ``tests/test_differential_modes.py``.
+The shared-memory replica synchronisation protocol, the pool's task
+partitioning (per-TGD and delta-window splitting) and the engine-level
+``workers=`` opt-in are each pinned here; the whole-run bit-identity of the
+parallel engine across firing strategies lives in
+``tests/test_differential_modes.py``.  The pool is driven the way the
+engine drives it: through a
+:class:`~repro.engine.resilience.SupervisedDiscovery`.
 """
 
+import gc
+import glob
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -18,12 +27,28 @@ from repro.core.terms import Constant, LabeledNull, Variable
 from repro.engine import (
     AtomIndex,
     ParallelDiscovery,
+    ResilienceConfig,
     SemiNaiveChaseEngine,
+    SupervisedDiscovery,
+    WorkerError,
     make_engine,
     run_chase,
 )
 from repro.engine.delta import compiled_delta_matches
+from repro.engine.shm import (
+    DEFAULT_INITIAL_CAPACITY,
+    SHM_AVAILABLE,
+    SegmentCache,
+    SharedColumnStore,
+)
 from repro.query.interning import Interner
+
+#: Zero retries and no serial fallback: the first worker fault raises.
+STRICT = ResilienceConfig(max_retries=0, serial_fallback=False)
+
+shm_only = pytest.mark.skipif(
+    not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
+)
 
 
 def canonical(assignments):
@@ -38,6 +63,11 @@ def serial_discovery(tgds, index, delta_lo, stage_start):
         list(compiled_delta_matches(tgd, index, delta_lo, stage_start))
         for tgd in tgds
     ]
+
+
+def strict(pool, tgds):
+    """*pool* under the supervisor an engine with ``resilience=False`` builds."""
+    return SupervisedDiscovery(pool, STRICT, tgds)
 
 
 def assert_same_index(replica, source):
@@ -59,68 +89,7 @@ def assert_same_index(replica, source):
 
 
 # ----------------------------------------------------------------------
-# Wire slices: full, incremental, steady-state, rebuild reset
-# ----------------------------------------------------------------------
-def test_wire_slice_full_and_incremental_round_trip():
-    structure = structure_from_text("R(1,2), R(2,3), S(3,4)")
-    index = AtomIndex(structure)
-    wire, cursor = index.export_slice(None)
-    assert wire.reset and wire.term_base == 0
-    replica = AtomIndex()
-    replica.apply_slice(wire)
-    assert_same_index(replica, index)
-    # Unchanged index: the steady-state export is None and costs nothing.
-    wire, cursor = index.export_slice(cursor)
-    assert wire is None
-    # Growth ships only the suffix: new facts, new symbols, same stamps.
-    structure.add_fact("R", "3", "9")
-    structure.add_fact("T", "9")
-    wire, cursor = index.export_slice(cursor)
-    assert not wire.reset
-    assert len(wire.facts) == 2
-    assert "T" in wire.predicates and "9" in wire.terms
-    replica.apply_slice(wire)
-    assert_same_index(replica, index)
-    # And the replica answers the same queries as the source.
-    assert list(replica.atoms("R")) == list(index.atoms("R"))
-    assert replica.count_with_value("R", 0, "3") == 1
-
-
-def test_wire_slice_reset_after_rebuild_syncs_replica():
-    structure = structure_from_text("R(1,2), R(2,3)")
-    index = AtomIndex(structure)
-    wire, cursor = index.export_slice(None)
-    replica = AtomIndex()
-    replica.apply_slice(wire)
-    structure.remove_atom(Atom("R", ("1", "2")))  # full index rebuild
-    assert index.rebuilds == 1
-    wire, cursor = index.export_slice(cursor)
-    assert wire.reset
-    replica.apply_slice(wire)
-    assert_same_index(replica, index)
-    # Interned IDs survived the rebuild on both sides (append-only tables).
-    assert replica.interner.term_id("1") == index.interner.term_id("1")
-
-
-def test_wire_slice_survives_pickling():
-    structure = structure_from_text("R(1,2), S(2,#c)")
-    index = AtomIndex(structure)
-    wire, _ = index.export_slice(None)
-    replica = AtomIndex()
-    replica.apply_slice(pickle.loads(pickle.dumps(wire)))
-    assert_same_index(replica, index)
-
-
-def test_apply_slice_requires_detached_index():
-    structure = structure_from_text("R(1,2)")
-    index = AtomIndex(structure)
-    wire, _ = index.export_slice(None)
-    with pytest.raises(ValueError):
-        index.apply_slice(wire)
-
-
-# ----------------------------------------------------------------------
-# Interning across the pickle/wire boundary
+# Interning across the pickle boundary
 # ----------------------------------------------------------------------
 def test_interner_round_trip_across_pickle_boundary():
     interner = Interner()
@@ -159,7 +128,7 @@ def test_pool_discovery_matches_serial_batch():
     stage_start = index.watermark()
     serial = serial_discovery(TGDS, index, 0, stage_start)
     with ParallelDiscovery(TGDS, workers=3) as pool:
-        parallel = pool.discover(index, 0, stage_start)
+        parallel = strict(pool, TGDS).discover(index, 0, stage_start)
     assert len(parallel) == len(serial)
     for serial_part, parallel_part in zip(serial, parallel):
         assert canonical(parallel_part) == canonical(serial_part)
@@ -169,8 +138,9 @@ def test_pool_incremental_stage_discovery_matches_serial():
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
     with ParallelDiscovery(TGDS, workers=2) as pool:
+        discovery = strict(pool, TGDS)
         stage_start = index.watermark()
-        first = pool.discover(index, 0, stage_start)
+        first = discovery.discover(index, 0, stage_start)
         assert canonical(first[0]) == canonical(
             serial_discovery(TGDS, index, 0, stage_start)[0]
         )
@@ -179,7 +149,7 @@ def test_pool_incremental_stage_discovery_matches_serial():
         structure.add_fact("R", "2", "3")
         delta_lo, stage_start = stage_start, index.watermark()
         serial = serial_discovery(TGDS, index, delta_lo, stage_start)
-        parallel = pool.discover(index, delta_lo, stage_start)
+        parallel = discovery.discover(index, delta_lo, stage_start)
         for serial_part, parallel_part in zip(serial, parallel):
             assert canonical(parallel_part) == canonical(serial_part)
 
@@ -200,7 +170,7 @@ def test_pool_delta_window_splitting_partitions_exactly():
         tasks = pool._plan_tasks(0, stage_start)
         assert len(tasks) == 4  # 1 TGD × 4 sub-windows
         assert tasks[0][1] == 0 and tasks[-1][2] == stage_start
-        parallel = pool.discover(index, 0, stage_start)
+        parallel = strict(pool, rules).discover(index, 0, stage_start)
     serial = serial_discovery(rules, index, 0, stage_start)
     assert canonical(parallel[0]) == canonical(serial[0])
     # The serial and parallel candidate *counts* also agree — windows
@@ -212,31 +182,31 @@ def test_pool_resyncs_after_index_rebuild():
     structure = structure_from_text("R(0,1), R(1,2), R(2,0)")
     index = AtomIndex(structure)
     with ParallelDiscovery(TGDS, workers=2) as pool:
-        pool.discover(index, 0, index.watermark())
+        discovery = strict(pool, TGDS)
+        discovery.discover(index, 0, index.watermark())
         structure.remove_atom(Atom("R", ("2", "0")))  # rebuild + restamp
         assert index.rebuilds == 1
         stage_start = index.watermark()
         serial = serial_discovery(TGDS, index, 0, stage_start)
-        parallel = pool.discover(index, 0, stage_start)
+        parallel = discovery.discover(index, 0, stage_start)
         for serial_part, parallel_part in zip(serial, parallel):
             assert canonical(parallel_part) == canonical(serial_part)
 
 
 def test_pool_is_poisoned_after_a_worker_failure(monkeypatch):
-    # Once a worker has failed, its replica may have applied the stage's
-    # wire slice only partially while the cursor already advanced — the
-    # pool must refuse further use instead of serving from desynced
-    # replicas.  A task with an out-of-range TGD index forces the failure.
+    # With zero retries and no fallback, the first worker failure raises a
+    # typed error carrying the remote detail and closes the pool, so no
+    # caller can keep using it.  A task with an out-of-range TGD index
+    # forces the failure.
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
     pool = ParallelDiscovery(TGDS, workers=2)
     monkeypatch.setattr(pool, "_plan_tasks", lambda lo, hi: [(99, None, None)])
-    from repro.engine import WorkerError
-
     with pytest.raises(WorkerError, match="IndexError"):
-        pool.discover(index, 0, index.watermark())
+        strict(pool, TGDS).discover(index, 0, index.watermark())
+    assert pool.closed
     with pytest.raises(RuntimeError, match="closed"):
-        pool.discover(index, 0, index.watermark())
+        pool.run_stage(index, 0, index.watermark())
 
 
 def test_pool_rejects_use_after_close_and_tiny_pools():
@@ -246,7 +216,7 @@ def test_pool_rejects_use_after_close_and_tiny_pools():
     structure = structure_from_text("R(0,1)")
     index = AtomIndex(structure)
     with pytest.raises(RuntimeError):
-        pool.discover(index, 0, index.watermark())
+        pool.run_stage(index, 0, index.watermark())
     with pytest.raises(ValueError):
         ParallelDiscovery(TGDS, workers=1)
 
@@ -408,111 +378,120 @@ def test_keep_alive_engine_recovers_after_abrupt_worker_death():
 # ----------------------------------------------------------------------
 # Shared-memory columnar sync (repro.engine.shm)
 # ----------------------------------------------------------------------
-import os
-import subprocess
-import sys
-import textwrap
+class ShmLink:
+    """An engine-side store, a worker-side segment cache and its replicas."""
 
-from repro.engine.shm import SHM_AVAILABLE, SegmentCache, SharedColumnStore
+    def __init__(self, initial_capacity):
+        self.store = SharedColumnStore(initial_capacity)
+        self.cache = SegmentCache()
+        self.replicas = []
 
-shm_only = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
-)
+    def replica(self):
+        replica = AtomIndex()
+        self.replicas.append(replica)
+        return replica
+
+    def close(self):
+        # The worker's shutdown order: a replica's posting columns are
+        # memoryview slices of the cache's mappings, and replicas sit in
+        # reference cycles (plan/trie caches point back at them), so they
+        # must be dropped and collected before the mappings can close.
+        self.replicas.clear()
+        gc.collect()
+        self.cache.close()
+        self.store.close()
+
+
+@pytest.fixture
+def shm_link():
+    """Factory of :class:`ShmLink` objects, closed in the worker's order."""
+    links = []
+
+    def open_link(initial_capacity=DEFAULT_INITIAL_CAPACITY):
+        link = ShmLink(initial_capacity)
+        links.append(link)
+        return link
+
+    yield open_link
+    for link in links:
+        link.close()
 
 
 @shm_only
-def test_apply_shared_full_and_incremental_round_trip():
+def test_apply_shared_full_and_incremental_round_trip(shm_link):
     structure = structure_from_text("R(1,2), R(2,3), S(3,4)")
     index = AtomIndex(structure)
-    store = SharedColumnStore()
-    cache = SegmentCache()
-    try:
-        sync = store.sync(index)
-        assert sync.reset and sync.term_base == 0
-        replica = AtomIndex()
-        replica.apply_shared(sync, cache)
-        assert_same_index(replica, index)
-        # Steady state: nothing changed, the control message is None.
-        assert store.sync(index) is None
-        # Growth: the directory re-points at longer column prefixes and only
-        # the symbol-table suffix travels; the replica re-binds in place.
-        structure.add_fact("R", "3", "9")
-        structure.add_fact("T", "9")
-        sync = store.sync(index)
-        assert not sync.reset
-        assert "T" in sync.predicates and "9" in sync.terms
-        replica.apply_shared(sync, cache)
-        assert_same_index(replica, index)
-        # The replica answers object-level queries identically (atoms are
-        # decoded lazily through its interner).
-        assert list(replica.atoms("R")) == list(index.atoms("R"))
-        assert replica.count_with_value("R", 0, "3") == 1
-    finally:
-        cache.close()
-        store.close()
+    link = shm_link()
+    sync = link.store.sync(index)
+    assert sync.reset and sync.term_base == 0
+    replica = link.replica()
+    replica.apply_shared(sync, link.cache)
+    assert_same_index(replica, index)
+    # Steady state: nothing changed, the control message is None.
+    assert link.store.sync(index) is None
+    # Growth: the directory re-points at longer column prefixes and only
+    # the symbol-table suffix travels; the replica re-binds in place.
+    structure.add_fact("R", "3", "9")
+    structure.add_fact("T", "9")
+    sync = link.store.sync(index)
+    assert not sync.reset
+    assert "T" in sync.predicates and "9" in sync.terms
+    replica.apply_shared(sync, link.cache)
+    assert_same_index(replica, index)
+    # The replica answers object-level queries identically (atoms are
+    # decoded lazily through its interner).
+    assert list(replica.atoms("R")) == list(index.atoms("R"))
+    assert replica.count_with_value("R", 0, "3") == 1
+    # The control message itself is what crosses the pipe.
+    assert pickle.loads(pickle.dumps(sync)) == sync
 
 
 @shm_only
-def test_apply_shared_requires_detached_index():
+def test_apply_shared_requires_detached_index(shm_link):
     structure = structure_from_text("R(1,2)")
     index = AtomIndex(structure)
-    store = SharedColumnStore()
-    cache = SegmentCache()
-    try:
-        sync = store.sync(index)
-        with pytest.raises(ValueError):
-            index.apply_shared(sync, cache)
-    finally:
-        cache.close()
-        store.close()
+    link = shm_link()
+    sync = link.store.sync(index)
+    with pytest.raises(ValueError):
+        index.apply_shared(sync, link.cache)
 
 
 @shm_only
-def test_shared_segments_grow_by_doubling_mid_run():
+def test_shared_segments_grow_by_doubling_mid_run(shm_link):
     structure = structure_from_text("R(0,1)")
     index = AtomIndex(structure)
-    store = SharedColumnStore(initial_capacity=2)
-    cache = SegmentCache()
-    try:
-        replica = AtomIndex()
-        replica.apply_shared(store.sync(index), cache)
-        first_name = store.segment_names()[0]
-        # Push the posting past the segment capacity: a fresh (doubled)
-        # segment replaces it, and the replica must follow the directory to
-        # the new name while keeping every previously synced row intact.
-        for i in range(1, 40):
-            structure.add_fact("R", str(i), str(i + 1))
-        replica.apply_shared(store.sync(index), cache)
-        assert store.segment_names()[0] != first_name
-        assert_same_index(replica, index)
-        # The retired segment was unlinked immediately: only the live name
-        # exists on disk.
-        assert not os.path.exists(f"/dev/shm/{first_name}")
-    finally:
-        cache.close()
-        store.close()
+    link = shm_link(initial_capacity=2)
+    replica = link.replica()
+    replica.apply_shared(link.store.sync(index), link.cache)
+    first_name = link.store.segment_names()[0]
+    # Push the posting past the segment capacity: a fresh (doubled)
+    # segment replaces it, and the replica must follow the directory to
+    # the new name while keeping every previously synced row intact.
+    for i in range(1, 40):
+        structure.add_fact("R", str(i), str(i + 1))
+    replica.apply_shared(link.store.sync(index), link.cache)
+    assert link.store.segment_names()[0] != first_name
+    assert_same_index(replica, index)
+    # The retired segment was unlinked immediately: only the live name
+    # exists on disk.
+    assert not os.path.exists(f"/dev/shm/{first_name}")
 
 
 @shm_only
-def test_replica_reattaches_after_index_rebuild():
+def test_replica_reattaches_after_index_rebuild(shm_link):
     structure = structure_from_text("R(0,1), R(1,2), R(2,0)")
     index = AtomIndex(structure)
-    store = SharedColumnStore()
-    cache = SegmentCache()
-    try:
-        replica = AtomIndex()
-        replica.apply_shared(store.sync(index), cache)
-        structure.remove_atom(Atom("R", ("2", "0")))  # full index rebuild
-        assert index.rebuilds == 1
-        sync = store.sync(index)
-        assert sync.reset and sync.rebuilds == 1
-        replica.apply_shared(sync, cache)
-        assert_same_index(replica, index)
-        # Interned IDs survived the rebuild on both sides.
-        assert replica.interner.term_id("1") == index.interner.term_id("1")
-    finally:
-        cache.close()
-        store.close()
+    link = shm_link()
+    replica = link.replica()
+    replica.apply_shared(link.store.sync(index), link.cache)
+    structure.remove_atom(Atom("R", ("2", "0")))  # full index rebuild
+    assert index.rebuilds == 1
+    sync = link.store.sync(index)
+    assert sync.reset and sync.rebuilds == 1
+    replica.apply_shared(sync, link.cache)
+    assert_same_index(replica, index)
+    # Interned IDs survived the rebuild on both sides.
+    assert replica.interner.term_id("1") == index.interner.term_id("1")
 
 
 @shm_only
@@ -532,70 +511,66 @@ def test_store_close_is_idempotent_and_unlinks_segments():
 
 
 @shm_only
-def test_store_reset_recycles_segments_for_the_next_run():
+def test_store_reset_recycles_segments_for_the_next_run(shm_link):
     first = structure_from_text("R(1,2), R(2,3)")
     index = AtomIndex(first)
-    store = SharedColumnStore()
-    cache = SegmentCache()
-    try:
-        replica = AtomIndex()
-        replica.apply_shared(store.sync(index), cache)
-        names = store.segment_names()
-        store.reset()
-        # A fresh run: new index, new stamps, new interner — same segments.
-        second = structure_from_text("R(a,b), T(b)")
-        index2 = AtomIndex(second)
-        sync = store.sync(index2)
-        assert sync.reset
-        replica2 = AtomIndex()
-        replica2.apply_shared(sync, cache)
-        assert_same_index(replica2, index2)
-        assert set(store.segment_names()) & set(names), "segments recycled"
-    finally:
-        cache.close()
-        store.close()
-
-
-def test_pool_wire_fallback_matches_serial():
-    structure = structure_from_text(
-        ", ".join(f"R({i},{(i + 1) % 9})" for i in range(9)) + ", R(4,4)"
-    )
-    index = AtomIndex(structure)
-    stage_start = index.watermark()
-    serial = serial_discovery(TGDS, index, 0, stage_start)
-    with ParallelDiscovery(TGDS, workers=2, shared_memory=False) as pool:
-        assert not pool.shared_memory and not pool.shared_memory_requested
-        parallel = pool.discover(index, 0, stage_start)
-        assert pool._store is None  # the wire path never allocates segments
-    for serial_part, parallel_part in zip(serial, parallel):
-        assert canonical(parallel_part) == canonical(serial_part)
+    link = shm_link()
+    link.replica().apply_shared(link.store.sync(index), link.cache)
+    names = link.store.segment_names()
+    link.store.reset()
+    # A fresh run: new index, new stamps, new interner — same segments.
+    second = structure_from_text("R(a,b), T(b)")
+    index2 = AtomIndex(second)
+    sync = link.store.sync(index2)
+    assert sync.reset
+    replica2 = link.replica()
+    replica2.apply_shared(sync, link.cache)
+    assert_same_index(replica2, index2)
+    assert set(link.store.segment_names()) & set(names), "segments recycled"
 
 
 @shm_only
-def test_pool_downgrades_to_wire_when_shm_fails_mid_run(monkeypatch):
-    structure = structure_from_text("R(0,1), R(1,2)")
-    index = AtomIndex(structure)
-    with ParallelDiscovery(TGDS, workers=2) as pool:
-        stage_start = index.watermark()
-        first = pool.discover(index, 0, stage_start)
-        assert pool.shared_memory
-        # The shm backend gives out (e.g. /dev/shm full): the pool must
-        # downgrade to the pickled wire, rebuild the replicas from a reset
-        # slice, and keep producing the serial match set.
-        def explode(index):
-            raise OSError("no space left on device")
+def test_shm_failure_mid_run_degrades_or_raises_without_leaks(monkeypatch):
+    # The shm backend gives out at stage 2 (e.g. /dev/shm full): the pool
+    # closes and reports a WorkerError; the supervisor finishes the run
+    # with serial discovery — bit-identical to a serial run — or, with
+    # resilience=False, surfaces the typed error.  Neither path leaves a
+    # worker process or a segment behind.
+    from repro.engine import ChaseExecutionError
 
-        monkeypatch.setattr(pool._store, "sync", explode)
-        structure.add_fact("R", "2", "3")
-        delta_lo, stage_start = stage_start, index.watermark()
-        serial = serial_discovery(TGDS, index, delta_lo, stage_start)
-        parallel = pool.discover(index, delta_lo, stage_start)
-        assert not pool.shared_memory and pool._store is None
-        for serial_part, parallel_part in zip(serial, parallel):
-            assert canonical(parallel_part) == canonical(serial_part)
-        assert canonical(first[0]) == canonical(
-            serial_discovery(TGDS, index, 0, delta_lo)[0]
-        )
+    tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
+    instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(12)))
+    serial = run_chase(tgds, instance, 50, 50_000)
+    segments_before = set(glob.glob("/dev/shm/repro-*"))
+    sync = SharedColumnStore.sync
+    calls = []
+
+    def failing_sync(store, index):
+        calls.append(index)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return sync(store, index)
+
+    monkeypatch.setattr(SharedColumnStore, "sync", failing_sync)
+    degraded = run_chase(tgds, instance, 50, 50_000, workers=2)
+    assert degraded.stats.faults["degraded"] == 1
+    assert degraded.stages_run == serial.stages_run
+    assert degraded.structure.atoms() == serial.structure.atoms()
+    assert degraded.structure.domain() == serial.structure.domain()
+    for expected, produced in zip(serial.stage_snapshots, degraded.stage_snapshots):
+        assert produced.atoms() == expected.atoms()
+    assert len(degraded.provenance) == len(serial.provenance)
+    for expected, produced in zip(serial.provenance, degraded.provenance):
+        assert produced.stage == expected.stage
+        assert produced.trigger == expected.trigger
+        assert produced.new_atoms == expected.new_atoms
+        assert produced.new_elements == expected.new_elements
+    calls.clear()
+    with pytest.raises(WorkerError, match="shared-memory sync failed"):
+        run_chase(tgds, instance, 50, 50_000, workers=2, resilience=False)
+    assert issubclass(WorkerError, ChaseExecutionError)
+    assert multiprocessing.active_children() == []
+    assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
 
 
 @shm_only
@@ -603,36 +578,18 @@ def test_pool_shm_growth_mid_run_matches_serial():
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
     with ParallelDiscovery(TGDS, workers=2, shm_initial_capacity=2) as pool:
+        discovery = strict(pool, TGDS)
         stage_start = index.watermark()
-        pool.discover(index, 0, stage_start)
+        discovery.discover(index, 0, stage_start)
         # Grow well past the tiny initial capacity: workers must follow the
         # directory through several segment replacements.
         for i in range(2, 50):
             structure.add_fact("R", str(i), str(i + 1))
         delta_lo, stage_start = stage_start, index.watermark()
         serial = serial_discovery(TGDS, index, delta_lo, stage_start)
-        parallel = pool.discover(index, delta_lo, stage_start)
+        parallel = discovery.discover(index, delta_lo, stage_start)
         for serial_part, parallel_part in zip(serial, parallel):
             assert canonical(parallel_part) == canonical(serial_part)
-
-
-@shm_only
-def test_engine_shared_memory_knob_runs_bit_identical():
-    tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
-    instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(12)))
-    serial = run_chase(tgds, instance, 50, 50_000)
-    for shared_memory in (True, False, None):
-        with SemiNaiveChaseEngine(
-            tgds=list(tgds), max_stages=50, max_atoms=50_000,
-            workers=2, shared_memory=shared_memory,
-        ) as engine:
-            result = engine.run(instance)
-        assert result.structure.atoms() == serial.structure.atoms()
-        assert result.structure.domain() == serial.structure.domain()
-        assert len(result.provenance) == len(serial.provenance)
-        for expected, produced in zip(serial.provenance, result.provenance):
-            assert produced.trigger == expected.trigger
-            assert produced.new_atoms == expected.new_atoms
 
 
 @shm_only
@@ -644,7 +601,9 @@ def test_no_segment_leak_or_tracker_noise_at_interpreter_exit():
     script = textwrap.dedent(
         """
         from repro.core.builders import structure_from_text
-        from repro.engine import AtomIndex, ParallelDiscovery
+        from repro.engine import (
+            AtomIndex, ParallelDiscovery, ResilienceConfig, SupervisedDiscovery,
+        )
         from repro.chase import parse_tgds
 
         tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)")
@@ -653,7 +612,9 @@ def test_no_segment_leak_or_tracker_noise_at_interpreter_exit():
         )
         index = AtomIndex(structure)
         pool = ParallelDiscovery(tgds, 2)
-        pool.discover(index, 0, index.watermark())
+        SupervisedDiscovery(
+            pool, ResilienceConfig(max_retries=0, serial_fallback=False), tgds
+        ).discover(index, 0, index.watermark())
         print("SEGS=" + ",".join(pool._store.segment_names()))
         # exit WITHOUT closing the pool
         """

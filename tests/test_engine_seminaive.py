@@ -4,13 +4,14 @@ import pytest
 
 from repro.chase import chase, parse_tgds
 from repro.chase.chase import ChaseBudgetExceeded, iterate_chase
+from repro.chase.trigger import frontier_key
 from repro.core.atoms import Atom
 from repro.core.builders import structure_from_text
 from repro.core.structure import Structure
 from repro.engine import (
     AtomIndex,
     SemiNaiveChaseEngine,
-    delta_frontier_keys,
+    compiled_delta_matches,
     head_satisfied_indexed,
     lazy_strategy,
     make_engine,
@@ -19,6 +20,8 @@ from repro.engine import (
     semi_oblivious_strategy,
 )
 from repro.engine.strategies import resolve_strategy
+
+from delta_oracle import reference_delta_matches
 
 
 # ----------------------------------------------------------------------
@@ -76,27 +79,45 @@ def test_delta_discovery_only_sees_matches_using_the_delta():
     index = AtomIndex(structure)
     watermark = index.watermark()
     structure.add_fact("R", "3", "4")
+
+    def frontier_keys(delta_lo):
+        return {
+            frontier_key(tgd, assignment)
+            for assignment in compiled_delta_matches(
+                tgd, index, delta_lo, index.watermark()
+            )
+        }
+
     # Full enumeration over everything:
-    all_keys = set(delta_frontier_keys(tgd, index, 0, index.watermark()))
-    assert len(all_keys) == 2  # (1,3) and (2,4)
+    assert len(frontier_keys(0)) == 2  # (1,3) and (2,4)
     # Only matches touching the delta atom R(3,4):
-    delta_keys = set(delta_frontier_keys(tgd, index, watermark, index.watermark()))
-    assert len(delta_keys) == 1
+    assert len(frontier_keys(watermark)) == 1
+    # Both agree with the oracle: matches at the stage start minus matches
+    # before the delta.
+    for delta_lo in (0, watermark):
+        expected = reference_delta_matches(tgd, index, delta_lo, index.watermark())
+        assert frontier_keys(delta_lo) == {
+            frontier_key(tgd, assignment) for assignment in expected
+        }
 
 
 def test_delta_discovery_produces_each_match_exactly_once():
-    from repro.engine import delta_body_matches
-
     tgd = parse_tgds("R(x,y), R(y,z) -> S(x,z)")[0]
     structure = structure_from_text("R(1,2), R(2,3), R(3,4)")
     index = AtomIndex(structure)
     # delta = everything (stage 1): the two chain matches, once each, even
     # though both their body atoms lie in the delta window.
-    matches = [
-        tuple(sorted(assignment.items(), key=repr))
-        for assignment in delta_body_matches(tgd, index, 0, index.watermark())
-    ]
+    def canonical(assignments):
+        return sorted(
+            tuple(sorted(assignment.items(), key=repr))
+            for assignment in assignments
+        )
+
+    matches = canonical(compiled_delta_matches(tgd, index, 0, index.watermark()))
     assert len(matches) == len(set(matches)) == 2
+    assert matches == canonical(
+        reference_delta_matches(tgd, index, 0, index.watermark())
+    )
 
 
 def test_indexed_head_satisfaction_matches_reference_semantics():

@@ -20,7 +20,6 @@ from repro.core.terms import Constant, Variable
 from repro.engine import run_chase
 from repro.chase.tgd import parse_tgds
 from repro.greenred.coloring import dalt_structure
-from repro.query.plan import plan_atoms
 from repro.spiders.algebra import SpiderQuerySpec
 from repro.spiders.anatomy import add_real_spider
 from repro.spiders.ideal import IdealSpider, SpiderUniverse
@@ -151,31 +150,6 @@ def test_spider_queries_match_reference_on_corpus():
         )
         planned = canonical(spider_query_matches(universe, spec, corpus))
         assert planned == reference, spec.key()
-
-
-# ----------------------------------------------------------------------
-# Planning invariants
-# ----------------------------------------------------------------------
-def test_plan_covers_every_atom_and_marks_bound_positions():
-    x, y, z = Variable("x"), Variable("y"), Variable("z")
-    atoms = [
-        Atom("R", (x, y)),
-        Atom("R", (y, z)),
-        Atom("S", (z, _CONSTANT)),
-    ]
-    target = Structure(
-        [Atom("R", ("a", "b")), Atom("R", ("b", "d")), Atom("S", ("d", _CONSTANT))]
-    )
-    context = q.EvalContext()
-    index = context.index_for(target)
-    plan = plan_atoms(atoms, index)
-    assert sorted(map(repr, plan.order())) == sorted(map(repr, atoms))
-    bound = set()
-    for step in plan.steps:
-        for position in step.bound_positions:
-            arg = step.atom.args[position]
-            assert arg == _CONSTANT or arg in bound
-        bound.update(step.atom.args)
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +455,13 @@ def test_plan_cache_is_keyed_by_bound_shape_not_values():
 
 
 # ----------------------------------------------------------------------
-# Batch delta discovery: compiled ≡ interpreted
+# Batch delta discovery: compiled ≡ the interpreted reference search
 # ----------------------------------------------------------------------
 def test_compiled_delta_matches_interpreted_delta():
-    from repro.engine.delta import compiled_delta_matches, delta_body_matches
+    # The oracle runs the backtracking HomomorphismProblem over the stamp
+    # prefixes: matches at the stage start minus matches before the delta.
+    from delta_oracle import reference_delta_matches
+    from repro.engine.delta import compiled_delta_matches
     from repro.engine.indexes import AtomIndex
 
     tgds = parse_tgds(
@@ -503,7 +480,7 @@ def test_compiled_delta_matches_interpreted_delta():
     stage_start = index.watermark()
     for tgd in tgds:
         interpreted = canonical(
-            delta_body_matches(tgd, index, delta_lo, stage_start)
+            reference_delta_matches(tgd, index, delta_lo, stage_start)
         )
         compiled = canonical(
             compiled_delta_matches(tgd, index, delta_lo, stage_start)
@@ -512,7 +489,9 @@ def test_compiled_delta_matches_interpreted_delta():
         # The full-prefix (naive) degeneration agrees too.
         assert canonical(
             compiled_delta_matches(tgd, index, 0, stage_start)
-        ) == canonical(delta_body_matches(tgd, index, 0, stage_start)), tgd.name
+        ) == canonical(
+            reference_delta_matches(tgd, index, 0, stage_start)
+        ), tgd.name
 
 
 # ----------------------------------------------------------------------

@@ -360,12 +360,14 @@ def test_serial_fallback_accepts_conventional_spellings(monkeypatch, raw, expect
 
 
 def test_resolve_resilience_normalisation():
-    assert resolve_resilience(False) is None
+    # False is the strict config: zero retries, no serial fallback.
+    assert resolve_resilience(False) == ResilienceConfig(
+        max_retries=0, serial_fallback=False
+    )
     assert resolve_resilience(None) == ResilienceConfig()
     assert resolve_resilience(True) == ResilienceConfig()
     config = ResilienceConfig(max_retries=9)
     assert resolve_resilience(config) is config
-    assert resolve_resilience(ResilienceConfig(enabled=False)) is None
     with pytest.raises(TypeError):
         resolve_resilience("supervised")
     with pytest.raises(ValueError):
@@ -414,9 +416,9 @@ def test_env_arming_parses_repro_faults(monkeypatch):
 
 
 def test_tamper_payload_edges():
-    assert tamper_payload("truncate", "shm", None) is None
+    assert tamper_payload("truncate", None) is None
     with pytest.raises(ValueError):
-        tamper_payload("crash", "shm", object())
+        tamper_payload("crash", object())
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,7 @@ from repro.core.homomorphism import HomomorphismProblem
 from repro.core.structure import Structure
 from repro.core.terms import Constant, Variable
 from repro.engine import AtomIndex, make_engine, run_chase
-from repro.engine.delta import (
-    compiled_delta_matches,
-    delta_body_matches,
-    select_delta_executor,
-)
+from repro.engine.delta import compiled_delta_matches, select_delta_executor
 from repro.greenred.coloring import Color, dalt_structure
 from repro.query import (
     EvalContext,
@@ -42,6 +38,8 @@ from repro.spiders.anatomy import add_real_spider
 from repro.spiders.ideal import IdealSpider, SpiderUniverse
 from repro.spiders.queries import spider_query_matches, unary_query_body
 from repro.spiders.algebra import SpiderQuerySpec
+
+from delta_oracle import reference_delta_matches
 
 STRATEGIES = ("nested", "hash", "wcoj")
 
@@ -332,7 +330,7 @@ def test_wcoj_matches_nested_on_delta_seed_windows():
     delta_lo = stage_start // 2
     for tgd in tgds:
         reference = canonical(
-            delta_body_matches(tgd, index, delta_lo, stage_start)
+            reference_delta_matches(tgd, index, delta_lo, stage_start)
         )
         for strategy in ("nested", "hash", "wcoj", "auto"):
             got = canonical(
