@@ -14,19 +14,20 @@ fails on any difference:
     diff fig1-0.txt fig1-1.txt && diff fig1-0.txt fig1-2.txt
 """
 
-import sys
-
 from repro.core.terms import LabeledNull
 from repro.engine import run_chase
 from repro.greengraph.graph import initial_graph
 from repro.separating.t_infinity import t_infinity_rules
 
+#: Chase stages the probe runs.
+STAGES = 40
 
-def main(stages: int = 40) -> None:
+
+def main() -> None:
     result = run_chase(
         t_infinity_rules().tgds(),
         initial_graph().structure(),
-        max_stages=stages,
+        max_stages=STAGES,
         max_atoms=50_000,
         workers=2,
     )
@@ -53,4 +54,4 @@ def main(stages: int = 40) -> None:
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 40)
+    main()

@@ -120,6 +120,7 @@ TGDS = parse_tgds(
 )
 
 
+@shm_only
 def test_pool_discovery_matches_serial_batch():
     structure = structure_from_text(
         ", ".join(f"R({i},{(i + 1) % 9})" for i in range(9)) + ", R(4,4)"
@@ -134,6 +135,7 @@ def test_pool_discovery_matches_serial_batch():
         assert canonical(parallel_part) == canonical(serial_part)
 
 
+@shm_only
 def test_pool_incremental_stage_discovery_matches_serial():
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
@@ -154,6 +156,7 @@ def test_pool_incremental_stage_discovery_matches_serial():
             assert canonical(parallel_part) == canonical(serial_part)
 
 
+@shm_only
 def test_pool_delta_window_splitting_partitions_exactly():
     # One rule, four workers: the pool must split the delta window to keep
     # the pool busy, and the split must reproduce the serial match multiset
@@ -178,6 +181,7 @@ def test_pool_delta_window_splitting_partitions_exactly():
     assert len(parallel[0]) == len(serial[0])
 
 
+@shm_only
 def test_pool_resyncs_after_index_rebuild():
     structure = structure_from_text("R(0,1), R(1,2), R(2,0)")
     index = AtomIndex(structure)
@@ -193,6 +197,7 @@ def test_pool_resyncs_after_index_rebuild():
             assert canonical(parallel_part) == canonical(serial_part)
 
 
+@shm_only
 def test_pool_is_poisoned_after_a_worker_failure(monkeypatch):
     # With zero retries and no fallback, the first worker failure raises a
     # typed error carrying the remote detail and closes the pool, so no
@@ -209,6 +214,7 @@ def test_pool_is_poisoned_after_a_worker_failure(monkeypatch):
         pool.run_stage(index, 0, index.watermark())
 
 
+@shm_only
 def test_pool_rejects_use_after_close_and_tiny_pools():
     pool = ParallelDiscovery(TGDS, workers=2)
     pool.close()
@@ -251,6 +257,7 @@ def test_make_engine_threads_workers_through():
         make_engine("reference", TGDS, workers=2)
 
 
+@shm_only
 def test_keep_alive_pool_is_reused_across_runs_with_replica_resync():
     """PR-5 keep-alive: one engine, one pool, many chases.
 
@@ -295,6 +302,7 @@ def test_keep_alive_pool_is_reused_across_runs_with_replica_resync():
     engine.close()
 
 
+@shm_only
 def test_run_chase_closes_its_ephemeral_engine_pool():
     tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)")
     instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(8)))
@@ -312,6 +320,7 @@ def test_run_chase_closes_its_ephemeral_engine_pool():
     assert result.reached_fixpoint
 
 
+@shm_only
 def test_pool_reset_rejected_after_close():
     pool = ParallelDiscovery(list(TGDS), 2)
     pool.close()
@@ -319,6 +328,7 @@ def test_pool_reset_rejected_after_close():
         pool.reset()
 
 
+@shm_only
 def test_keep_alive_pool_is_rebuilt_when_the_rule_set_changes():
     # The worker processes carry the TGD list they were spawned with, so
     # mutating engine.tgds between runs must rebuild the pool — reusing it
@@ -350,6 +360,7 @@ def test_engine_rejects_unknown_match_strategy_up_front():
                       match_strategy="wcjo")
 
 
+@shm_only
 def test_keep_alive_engine_recovers_after_abrupt_worker_death():
     # Transport-level death (SIGKILL/OOM, not a clean "error" reply) between
     # runs: the next run's reset() finds the dead pipes and respawns the

@@ -25,6 +25,7 @@ from repro.core.structure import Structure
 from repro.core.terms import Variable
 from repro.engine import run_chase
 from repro.engine.seminaive import SemiNaiveChaseEngine
+from repro.engine.shm import SHM_AVAILABLE
 from repro.obs import (
     NULL_COUNTER,
     NULL_GAUGE,
@@ -397,6 +398,9 @@ def test_traced_and_metered_chase_is_bit_identical_serial():
     assert summary.spans["chase.run"][0] == 1
 
 
+@pytest.mark.skipif(
+    not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
+)
 def test_traced_chase_is_bit_identical_with_two_workers():
     tgds = parse_tgds(*TC_RULES)
     instance = _chain(12)

@@ -58,6 +58,13 @@ INSTANCE_TEXT = ", ".join(f"R({i},{i + 1})" for i in range(12))
 #: hangs quickly, a backoff short enough not to dominate the run.
 CONFIG = ResilienceConfig(stage_deadline=5.0, max_retries=2, backoff_seconds=0.01)
 
+#: Faults land in pool workers, and a pool needs shared memory: without it
+#: ``workers=2`` runs serial discovery, so no fault is injected, no
+#: resilience knob is read and no segment signal handler is installed.
+shm_only = pytest.mark.skipif(
+    not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
+)
+
 
 @pytest.fixture(autouse=True)
 def disarmed_injector():
@@ -89,10 +96,9 @@ def assert_no_leaks():
 # ----------------------------------------------------------------------
 # Per-kind differential: every fault class recovers bit-identically
 # ----------------------------------------------------------------------
+@shm_only
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_single_fault_recovers_bit_identical(kind):
-    if kind == "attach" and not SHM_AVAILABLE:
-        pytest.skip("attach faults need the shared-memory transport")
     serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
     install_fault_plan(
         FaultPlan(faults=[Fault(kind=kind, stage=2, worker=0, task=0,
@@ -118,15 +124,12 @@ def chaos_seeds():
     return [3, 11]
 
 
+@shm_only
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_seeded_fault_schedule_completes_or_raises_typed(seed):
-    kinds = FAULT_KINDS if SHM_AVAILABLE else tuple(
-        kind for kind in FAULT_KINDS if kind != "attach"
-    )
     serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
     install_fault_plan(
-        random_fault_plan(seed, stages=4, count=3, kinds=kinds,
-                          hang_seconds=30.0)
+        random_fault_plan(seed, stages=4, count=3, hang_seconds=30.0)
     )
     config = ResilienceConfig(stage_deadline=2.0, max_retries=2,
                               backoff_seconds=0.01)
@@ -154,6 +157,7 @@ def exhaustion_plan():
                              for _ in range(3)])
 
 
+@shm_only
 def test_retry_exhaustion_degrades_to_serial_and_stays_identical():
     serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
     install_fault_plan(exhaustion_plan())
@@ -169,6 +173,7 @@ def test_retry_exhaustion_degrades_to_serial_and_stays_identical():
     assert_no_leaks()
 
 
+@shm_only
 def test_retry_exhaustion_without_fallback_raises_typed_error():
     install_fault_plan(exhaustion_plan())
     with pytest.raises(ChaseExecutionError, match="serial fallback is disabled"):
@@ -180,6 +185,7 @@ def test_retry_exhaustion_without_fallback_raises_typed_error():
     assert_no_leaks()
 
 
+@shm_only
 def test_strict_mode_still_poisons_on_fault():
     # resilience=False restores the pre-supervision contract: any worker
     # fault surfaces as a WorkerError (itself a ChaseExecutionError).
@@ -198,6 +204,7 @@ def test_strict_mode_still_poisons_on_fault():
 # ----------------------------------------------------------------------
 # Keep-alive: a recovered fault in run N must not poison run N+1
 # ----------------------------------------------------------------------
+@shm_only
 def test_keep_alive_pool_survives_a_recovered_fault():
     serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
     with SemiNaiveChaseEngine(
@@ -223,6 +230,7 @@ def test_keep_alive_pool_survives_a_recovered_fault():
     assert_no_leaks()
 
 
+@shm_only
 def test_degraded_run_rebuilds_pool_for_the_next_run():
     # Degradation is terminal per run: the pool is closed at the tier
     # switch, and the *next* run on the keep-alive engine goes parallel
@@ -264,6 +272,7 @@ def test_budget_exception_closes_pool_and_releases_workers():
 # ----------------------------------------------------------------------
 # Ledger <-> trace reconciliation
 # ----------------------------------------------------------------------
+@shm_only
 def test_trace_events_reconcile_with_stats_ledger():
     install_fault_plan(
         FaultPlan(faults=[
@@ -285,6 +294,7 @@ def test_trace_events_reconcile_with_stats_ledger():
     assert result.stats.as_dict()["faults"] == summary.faults
 
 
+@shm_only
 def test_clean_run_renders_no_fault_ledger():
     result = run_chase(
         TGDS, fresh_instance(), 50, 50_000, workers=2, resilience=CONFIG
@@ -334,6 +344,7 @@ def test_malformed_serial_fallback_raises_typed_error(monkeypatch, raw):
         ResilienceConfig.from_env()
 
 
+@shm_only
 def test_env_override_errors_surface_at_engine_construction(monkeypatch):
     """A typo'd knob fails the run up front, not mid-supervision."""
     monkeypatch.setenv("REPRO_MAX_RETRIES", "lots")
@@ -455,6 +466,7 @@ def _run_audit_script(script, env_extra=None, send_sigterm=False):
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
+@shm_only
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 def test_env_armed_chaos_run_leaves_no_processes_or_segments():
     script = textwrap.dedent(
@@ -493,6 +505,7 @@ def test_env_armed_chaos_run_leaves_no_processes_or_segments():
     assert "BufferError" not in proc.stderr, proc.stderr
 
 
+@shm_only
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 @pytest.mark.skipif(os.name != "posix", reason="POSIX signals only")
 def test_sigterm_mid_chase_unlinks_segments_and_exits_cleanly():
