@@ -61,9 +61,7 @@ def _certificate_structure(length: int, stages: int):
     instance = Structure(
         [Atom(green_r, (str(i), str(i + 1))) for i in range(length)]
     )
-    result = run_chase(
-        tgds, instance, max_stages=stages, max_atoms=100_000, keep_snapshots=False
-    )
+    result = run_chase(tgds, instance, max_stages=stages, max_atoms=100_000)
     return tgds, result
 
 
@@ -130,7 +128,7 @@ def test_certificate_check_reuses_chased_index(benchmark, report_lines):
     instance = structure_from_text(
         ", ".join(f"R({i},{i + 1})" for i in range(length))
     )
-    result = run_chase(tgds, instance, 200, 500_000, keep_snapshots=False)
+    result = run_chase(tgds, instance, 200, 500_000)
     chased = result.structure
     donated = q.shared_context.peek(chased)
     assert donated is not None, "chase engine did not donate its index"
@@ -191,7 +189,7 @@ def test_plan_cache_repeated_reevaluation(benchmark, report_lines):
     instance = structure_from_text(
         ", ".join(f"R({i},{i + 1})" for i in range(length))
     )
-    chased = run_chase(tgds, instance, 200, 500_000, keep_snapshots=False).structure
+    chased = run_chase(tgds, instance, 200, 500_000).structure
     hops = 12
     variables = [Variable(f"x{i}") for i in range(hops + 1)]
     atoms = [Atom("S", (variables[i], variables[i + 1])) for i in range(hops)]

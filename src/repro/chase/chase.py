@@ -22,8 +22,9 @@ fixpoint was reached within the bound.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
 from ..core.structure import Structure
@@ -55,6 +56,44 @@ class ChaseBudgetExceeded(RuntimeError):
     """Raised when a chase run exceeds its atom budget (when asked to raise)."""
 
 
+class StageSnapshots(Sequence[Structure]):
+    """The stages ``chase_0 … chase_n`` of a run, derived from its provenance.
+
+    Stage *k* is ``chase_0`` plus the new atoms of every step with stage
+    ``≤ k``.  A stage is built on first access — a copy of the nearest
+    already-built lower stage with the steps in between replayed — and
+    cached, so a caller pays only for the stages it reads.  The view never
+    reads the run's final structure, which callers are free to mutate.
+    """
+
+    def __init__(
+        self, initial: Structure, steps: Sequence[ChaseStep], stages_run: int
+    ) -> None:
+        self._built: Dict[int, Structure] = {0: initial}
+        self._steps = steps
+        self._length = stages_run + 1
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self._length))]
+        index = range(self._length)[index]
+        built = self._built.get(index)
+        if built is None:
+            base = max(k for k in self._built if k < index)
+            built = self._built[base].copy(name=f"chase_{index}")
+            for step in self._steps[self._end(base) : self._end(index)]:
+                built.add_atoms(step.new_atoms)
+            self._built[index] = built
+        return built
+
+    def _end(self, stage: int) -> int:
+        """The number of steps fired at stages ``≤ stage``."""
+        return bisect.bisect_right(self._steps, stage, key=lambda step: step.stage)
+
+
 @dataclass
 class ChaseResult:
     """Outcome of a (bounded) chase run."""
@@ -62,7 +101,7 @@ class ChaseResult:
     structure: Structure
     reached_fixpoint: bool
     stages_run: int
-    stage_snapshots: List[Structure] = field(default_factory=list)
+    stage_snapshots: Sequence[Structure] = field(default_factory=list)
     provenance: ChaseProvenance = field(default_factory=ChaseProvenance)
     #: Per-run accounting (:class:`repro.obs.report.ChaseRunStats`) attached
     #: by engines that collect it; ``None`` for the reference engine.
@@ -84,13 +123,14 @@ class ChaseResult:
 
     def atoms_added(self) -> int:
         """Total number of atoms added over the whole run."""
-        return len(self.structure.atoms()) - len(self.stage_snapshots[0].atoms())
+        return sum(len(step.new_atoms) for step in self.provenance.steps)
 
     def new_atoms_at_stage(self, index: int) -> frozenset:
         """Atoms of ``chase_index`` that are not in ``chase_{index-1}``."""
+        index = range(len(self.stage_snapshots))[index]
         if index == 0:
             return self.stage_snapshots[0].atoms()
-        return self.stage_snapshots[index].atoms() - self.stage_snapshots[index - 1].atoms()
+        return self.provenance.atoms_created_at_stage(index)
 
 
 @dataclass
@@ -107,15 +147,17 @@ class ChaseEngine:
     max_atoms:
         Safety budget on the total number of atoms; the run stops (or raises,
         see ``raise_on_budget``) when exceeded.
-    keep_snapshots:
-        Whether to keep a copy of every stage (needed by the late-chase and
-        Figure-1 style constructions; turn off for large benchmark runs).
+    raise_on_budget:
+        Raise :class:`ChaseBudgetExceeded` instead of stopping when the atom
+        budget is exceeded.
+
+    :meth:`run` returns its stages as a lazy :class:`StageSnapshots` view;
+    :meth:`iter_stages` copies every stage eagerly and is that view's oracle.
     """
 
     tgds: Sequence[TGD]
     max_stages: Optional[int] = None
     max_atoms: Optional[int] = None
-    keep_snapshots: bool = True
     raise_on_budget: bool = False
 
     # ------------------------------------------------------------------
@@ -124,19 +166,14 @@ class ChaseEngine:
         current = instance.copy(name=f"chase({instance.name})" if instance.name else "chase")
         null_factory = FreshNullFactory()
         provenance = ChaseProvenance()
-        snapshots: List[Structure] = [current.copy(name="chase_0")] if self.keep_snapshots else [instance.copy(name="chase_0")]
         stage = 0
         reached_fixpoint = False
         while self.max_stages is None or stage < self.max_stages:
             stage += 1
             fired = self._run_stage(current, null_factory, provenance, stage)
-            if self.keep_snapshots:
-                snapshots.append(current.copy(name=f"chase_{stage}"))
             if not fired:
                 reached_fixpoint = True
                 stage -= 1  # the last stage added nothing: not counted
-                if self.keep_snapshots:
-                    snapshots.pop()
                 break
             if self.max_atoms is not None and len(current) > self.max_atoms:
                 if self.raise_on_budget:
@@ -148,7 +185,9 @@ class ChaseEngine:
             structure=current,
             reached_fixpoint=reached_fixpoint,
             stages_run=stage,
-            stage_snapshots=snapshots,
+            stage_snapshots=StageSnapshots(
+                instance.copy(name="chase_0"), provenance.steps, stage
+            ),
             provenance=provenance,
         )
 
@@ -237,15 +276,9 @@ def chase(
     instance: Structure,
     max_stages: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    keep_snapshots: bool = True,
 ) -> ChaseResult:
     """Run the lazy chase of *instance* under *tgds* with the given bounds."""
-    engine = ChaseEngine(
-        tgds=list(tgds),
-        max_stages=max_stages,
-        max_atoms=max_atoms,
-        keep_snapshots=keep_snapshots,
-    )
+    engine = ChaseEngine(tgds=list(tgds), max_stages=max_stages, max_atoms=max_atoms)
     return engine.run(instance)
 
 
@@ -260,7 +293,7 @@ def chase_stages(
 ) -> List[Structure]:
     """The list ``[chase_0, chase_1, …, chase_stages]`` (shorter if a fixpoint hits)."""
     result = chase(tgds, instance, max_stages=stages)
-    return result.stage_snapshots
+    return list(result.stage_snapshots)
 
 
 def chase_fixpoint(

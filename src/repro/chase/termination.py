@@ -131,4 +131,4 @@ def terminates_within(
     tgds: Sequence[TGD], instance: Structure, max_stages: int
 ) -> bool:
     """Empirical check: does the chase reach a fixpoint within *max_stages*?"""
-    return chase(tgds, instance, max_stages=max_stages, keep_snapshots=False).reached_fixpoint
+    return chase(tgds, instance, max_stages=max_stages).reached_fixpoint

@@ -71,12 +71,43 @@ _SEMINAIVE_NAMES = frozenset({"seminaive", "semi-naive", "semi_naive", "delta"})
 _REFERENCE_NAMES = frozenset({"reference", "naive", "lazy-reference"})
 
 
+def _check_reference_options(strategy, workers, match_strategy, resilience, context):
+    """Reject the semi-naive-only options for the reference engine."""
+    if strategy is not None:
+        raise ValueError(
+            "firing strategies are a semi-naive engine feature; "
+            "the reference engine is always lazy"
+        )
+    if workers and workers >= 2:
+        # workers=0/1 means "serial" on the semi-naive engine, so a
+        # config-driven caller may pass it here too; only an actual
+        # parallelism request is an error on the reference engine.
+        raise ValueError(
+            "parallel discovery is a semi-naive engine feature; "
+            "the reference engine is strictly serial"
+        )
+    if match_strategy is not None and match_strategy != "nested":
+        raise ValueError(
+            "match strategies are a semi-naive engine feature; "
+            "the reference engine never runs the compiled executors"
+        )
+    if resilience not in (None, False):
+        raise ValueError(
+            "resilience supervision is a semi-naive engine feature; "
+            "the reference engine has no worker pool to supervise"
+        )
+    if context is not None:
+        raise ValueError(
+            "index hand-off contexts are a semi-naive engine feature; "
+            "the reference engine maintains no index to adopt"
+        )
+
+
 def make_engine(
     engine: EngineSpec,
     tgds: Sequence[TGD],
     max_stages: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    keep_snapshots: bool = True,
     strategy=None,
     workers: Optional[int] = None,
     match_strategy: Optional[str] = None,
@@ -89,12 +120,12 @@ def make_engine(
     names ``"seminaive"`` / ``"reference"``, or an already-constructed engine
     instance.  An instance contributes its *kind* and configuration (firing
     strategy, ``raise_on_budget``) but is re-bound to the call site's
-    workload: the ``tgds`` and ``keep_snapshots`` come from the caller, and
-    the stage/atom budgets are *intersected* (the tighter bound wins), so
-    neither the wrapper's safety budgets nor the instance's own are ever
-    silently discarded.  ``workers=N`` (N ≥ 2) opts the semi-naive engine
-    into parallel batch discovery (:mod:`repro.engine.parallel`); ``None``
-    keeps the instance's own setting, and the reference engine rejects it.
+    workload: the ``tgds`` come from the caller, and the stage/atom budgets
+    are *intersected* (the tighter bound wins), so neither the wrapper's
+    safety budgets nor the instance's own are ever silently discarded.
+    ``workers=N`` (N ≥ 2) opts the semi-naive engine into parallel batch
+    discovery (:mod:`repro.engine.parallel`); ``None`` keeps the instance's
+    own setting, and the reference engine rejects it.
     ``match_strategy`` selects the compiled executor for delta body matching
     (``"nested"`` / ``"hash"`` / ``"wcoj"`` / ``"auto"``, see
     :func:`repro.engine.delta.select_delta_executor`); output is
@@ -116,40 +147,14 @@ def make_engine(
         engine = DEFAULT_ENGINE
     if isinstance(engine, (ChaseEngine, SemiNaiveChaseEngine)):
         if not isinstance(engine, SemiNaiveChaseEngine):
-            if strategy is not None:
-                raise ValueError(
-                    "firing strategies are a semi-naive engine feature; "
-                    "the reference engine is always lazy"
-                )
-            if workers and workers >= 2:
-                # workers=0/1 means "serial" on the semi-naive engine, so a
-                # config-driven caller may pass it here too; only an actual
-                # parallelism request is an error on the reference engine.
-                raise ValueError(
-                    "parallel discovery is a semi-naive engine feature; "
-                    "the reference engine is strictly serial"
-                )
-            if match_strategy is not None and match_strategy != "nested":
-                raise ValueError(
-                    "match strategies are a semi-naive engine feature; "
-                    "the reference engine never runs the compiled executors"
-                )
-            if resilience not in (None, False):
-                raise ValueError(
-                    "resilience supervision is a semi-naive engine feature; "
-                    "the reference engine has no worker pool to supervise"
-                )
-            if context is not None:
-                raise ValueError(
-                    "index hand-off contexts are a semi-naive engine feature; "
-                    "the reference engine maintains no index to adopt"
-                )
+            _check_reference_options(
+                strategy, workers, match_strategy, resilience, context
+            )
             return replace(
                 engine,
                 tgds=list(tgds),
                 max_stages=min_bound(max_stages, engine.max_stages),
                 max_atoms=min_bound(max_atoms, engine.max_atoms),
-                keep_snapshots=keep_snapshots,
             )
         if strategy is not None:
             engine = replace(engine, strategy=resolve_strategy(strategy))
@@ -158,7 +163,6 @@ def make_engine(
             tgds=list(tgds),
             max_stages=min_bound(max_stages, engine.max_stages),
             max_atoms=min_bound(max_atoms, engine.max_atoms),
-            keep_snapshots=keep_snapshots,
             workers=engine.workers if workers is None else workers,
             match_strategy=(
                 engine.match_strategy if match_strategy is None else match_strategy
@@ -173,7 +177,6 @@ def make_engine(
                 tgds=list(tgds),
                 max_stages=max_stages,
                 max_atoms=max_atoms,
-                keep_snapshots=keep_snapshots,
                 strategy=resolve_strategy(strategy),
                 workers=workers or 0,
                 match_strategy=match_strategy or "nested",
@@ -181,39 +184,11 @@ def make_engine(
                 context=context,
             )
         if name in _REFERENCE_NAMES:
-            if strategy is not None:
-                raise ValueError(
-                    "firing strategies are a semi-naive engine feature; "
-                    "the reference engine is always lazy"
-                )
-            if match_strategy is not None and match_strategy != "nested":
-                raise ValueError(
-                    "match strategies are a semi-naive engine feature; "
-                    "the reference engine never runs the compiled executors"
-                )
-            if workers and workers >= 2:
-                # workers=0/1 means "serial" on the semi-naive engine, so a
-                # config-driven caller may pass it here too; only an actual
-                # parallelism request is an error on the reference engine.
-                raise ValueError(
-                    "parallel discovery is a semi-naive engine feature; "
-                    "the reference engine is strictly serial"
-                )
-            if resilience not in (None, False):
-                raise ValueError(
-                    "resilience supervision is a semi-naive engine feature; "
-                    "the reference engine has no worker pool to supervise"
-                )
-            if context is not None:
-                raise ValueError(
-                    "index hand-off contexts are a semi-naive engine feature; "
-                    "the reference engine maintains no index to adopt"
-                )
+            _check_reference_options(
+                strategy, workers, match_strategy, resilience, context
+            )
             return ChaseEngine(
-                tgds=list(tgds),
-                max_stages=max_stages,
-                max_atoms=max_atoms,
-                keep_snapshots=keep_snapshots,
+                tgds=list(tgds), max_stages=max_stages, max_atoms=max_atoms
             )
         raise ValueError(
             f"unknown chase engine {engine!r}; "
@@ -249,13 +224,16 @@ def run_chase(
     selects the evaluation context the chased structure's index is donated
     to (``None`` = the process-wide shared context) — per-session callers
     pass their own so post-chase queries stay isolated.
+
+    The result's stage snapshots are always available, built lazily from
+    the provenance.  ``keep_snapshots`` is accepted and ignored: it goes
+    once the repository benchmark stops passing it.
     """
     resolved = make_engine(
         engine,
         tgds,
         max_stages=max_stages,
         max_atoms=max_atoms,
-        keep_snapshots=keep_snapshots,
         strategy=strategy,
         workers=workers,
         match_strategy=match_strategy,

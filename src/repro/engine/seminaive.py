@@ -11,7 +11,9 @@ costs of the reference implementation:
   complete for the lazy chase);
 * **no structure copy per stage**: "the structure as it was when the stage
   started" is a posting-list prefix located by a sequence-stamp watermark,
-  so the only copies made are the user-visible stage snapshots.
+  and the stage snapshots are built from the provenance only when read
+  (:class:`~repro.chase.chase.StageSnapshots`), so besides its working
+  structure a run copies nothing but its input, as stage 0.
 
 The paper's stage discipline is preserved exactly — body matches range over
 ``chase_i``, head satisfaction is re-checked against the growing structure —
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from ..chase.chase import ChaseBudgetExceeded, ChaseResult
+from ..chase.chase import ChaseBudgetExceeded, ChaseResult, StageSnapshots
 from ..chase.provenance import ChaseProvenance, ChaseStep
 from ..chase.tgd import TGD
 from ..chase.trigger import Trigger, apply_trigger, frontier_key, trigger_sort_key
@@ -57,7 +59,6 @@ class SemiNaiveChaseEngine:
     tgds: Sequence[TGD]
     max_stages: Optional[int] = None
     max_atoms: Optional[int] = None
-    keep_snapshots: bool = True
     raise_on_budget: bool = False
     strategy: FiringStrategy = field(default_factory=lazy_strategy)
     #: Donate the run's AtomIndex to a query-evaluation context so post-chase
@@ -179,11 +180,6 @@ class SemiNaiveChaseEngine:
         self.strategy.reset()
         max_stages = self.strategy.cap_stages(self.max_stages)
         max_atoms = self.strategy.cap_atoms(self.max_atoms)
-        snapshots: List[Structure] = (
-            [current.copy(name="chase_0")]
-            if self.keep_snapshots
-            else [instance.copy(name="chase_0")]
-        )
         stage = 0
         reached_fixpoint = False
         delta_lo = 0
@@ -254,13 +250,9 @@ class SemiNaiveChaseEngine:
                             span=stage_span,
                         )
                     delta_lo = stage_start
-                    if self.keep_snapshots:
-                        snapshots.append(current.copy(name=f"chase_{stage}"))
                     if not fired:
                         reached_fixpoint = True
                         stage -= 1  # the last stage added nothing: not counted
-                        if self.keep_snapshots:
-                            snapshots.pop()
                         break
                     if max_atoms is not None and len(current) > max_atoms:
                         if self.raise_on_budget:
@@ -312,7 +304,9 @@ class SemiNaiveChaseEngine:
             structure=current,
             reached_fixpoint=reached_fixpoint,
             stages_run=stage,
-            stage_snapshots=snapshots,
+            stage_snapshots=StageSnapshots(
+                instance.copy(name="chase_0"), provenance.steps, stage
+            ),
             provenance=provenance,
             stats=stats,
         )

@@ -196,7 +196,6 @@ class GreenGraphRuleSet:
         graph: GreenGraph,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        keep_snapshots: bool = True,
         engine: EngineSpec = None,
     ) -> "GreenGraphChase":
         """Run the chase of *graph* under this rule set.
@@ -209,7 +208,6 @@ class GreenGraphRuleSet:
             graph.structure(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            keep_snapshots=keep_snapshots,
             engine=engine,
         )
         return GreenGraphChase(self, graph, result)

@@ -175,7 +175,6 @@ def chase_observed_words(
         initial_graph(),
         max_stages=chase_stages,
         max_atoms=max_atoms,
-        keep_snapshots=False,
         engine=engine,
     )
     return words(outcome.graph(), max_length=max_length)

@@ -87,7 +87,6 @@ class ReductionInstance:
         graph: Optional[GreenGraph] = None,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        keep_snapshots: bool = True,
     ) -> GreenGraphChase:
         """Chase ``T_M`` from *graph* (default ``DI``) on this instance's engine.
 
@@ -99,7 +98,6 @@ class ReductionInstance:
             graph if graph is not None else initial_graph(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            keep_snapshots=keep_snapshots,
             engine=self.engine,
         )
 
@@ -108,14 +106,12 @@ class ReductionInstance:
         graph: Optional[GreenGraph] = None,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        keep_snapshots: bool = True,
     ) -> GreenGraphChase:
         """Chase ``T_M ∪ T□`` from *graph* (default ``DI``) on this engine."""
         return self.full_rule_set.chase(
             graph if graph is not None else initial_graph(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            keep_snapshots=keep_snapshots,
             engine=self.engine,
         )
 

@@ -387,7 +387,6 @@ class Session:
             return engine
         engine = SemiNaiveChaseEngine(
             tgds=list(tgds),
-            keep_snapshots=False,
             strategy=resolve_strategy(strategy),
             workers=workers,
             match_strategy=match_strategy,

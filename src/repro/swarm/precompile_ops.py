@@ -32,5 +32,5 @@ def precompile_structure(
 ) -> Swarm:
     """Definition 36: one chase stage of the Level-1 rules over the graph."""
     start = swarm_from_green_graph(graph, name=name or f"precompile({graph.name})")
-    outcome = level1_rules.chase(start, max_stages=1, keep_snapshots=False)
+    outcome = level1_rules.chase(start, max_stages=1)
     return outcome.swarm()

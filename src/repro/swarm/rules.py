@@ -197,7 +197,6 @@ class SwarmRuleSet:
         swarm: Swarm,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        keep_snapshots: bool = True,
         engine: EngineSpec = None,
     ) -> "SwarmChase":
         """Run the chase of *swarm* under this rule set.
@@ -210,7 +209,6 @@ class SwarmRuleSet:
             swarm.structure(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            keep_snapshots=keep_snapshots,
             engine=engine,
         )
         return SwarmChase(self, swarm, result)

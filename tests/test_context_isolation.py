@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.builders import parse_cq, structure_from_text
 from repro.chase.tgd import parse_tgds
-from repro.engine import make_engine, run_chase
+from repro.engine import run_chase
 from repro.query.context import EvalContext, get_context, shared_context
 from repro.query.evaluator import evaluate
 
@@ -73,14 +73,6 @@ def test_two_contexts_never_share_indexes_or_plans():
     index_b = ctx_b.peek(res_b.structure)
     assert index_a is not None and index_b is not None
     assert index_a is not index_b
-
-
-def test_reference_engine_rejects_context():
-    with pytest.raises(ValueError, match="reference engine"):
-        make_engine("reference", RULES, context=EvalContext())
-    reference = make_engine("reference", RULES)
-    with pytest.raises(ValueError, match="reference engine"):
-        make_engine(reference, RULES, context=EvalContext())
 
 
 def test_get_context_resolver():

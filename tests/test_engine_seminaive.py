@@ -3,23 +3,24 @@
 import pytest
 
 from repro.chase import chase, parse_tgds
-from repro.chase.chase import ChaseBudgetExceeded, iterate_chase
+from repro.chase.chase import ChaseBudgetExceeded, ChaseEngine, iterate_chase
 from repro.chase.trigger import frontier_key
 from repro.core.atoms import Atom
 from repro.core.builders import structure_from_text
 from repro.core.structure import Structure
 from repro.engine import (
     AtomIndex,
+    ResilienceConfig,
     SemiNaiveChaseEngine,
     compiled_delta_matches,
     head_satisfied_indexed,
     lazy_strategy,
     make_engine,
-    oblivious_strategy,
     run_chase,
     semi_oblivious_strategy,
 )
 from repro.engine.strategies import resolve_strategy
+from repro.query import EvalContext
 
 from delta_oracle import reference_delta_matches
 
@@ -188,7 +189,7 @@ def test_seminaive_respects_atom_budget_and_raise_flag():
         engine.run(instance)
 
 
-def test_seminaive_without_snapshots_keeps_only_the_input_snapshot():
+def test_run_chase_accepts_and_ignores_keep_snapshots():
     tgds = parse_tgds("R(x,y) -> R(y,z)")
     result = run_chase(
         tgds,
@@ -196,8 +197,9 @@ def test_seminaive_without_snapshots_keeps_only_the_input_snapshot():
         max_stages=4,
         keep_snapshots=False,
     )
-    assert len(result.stage_snapshots) == 1
     assert result.stages_run == 4
+    assert len(result.stage_snapshots) == result.stages_run + 1
+    assert [len(stage) for stage in result.stage_snapshots] == [1, 2, 3, 4, 5]
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +280,36 @@ def test_make_engine_resolves_names_and_instances():
     assert not isinstance(reference, SemiNaiveChaseEngine)
     with pytest.raises(ValueError):
         make_engine("warp-drive", tgds)
-    with pytest.raises(ValueError):
-        make_engine("reference", tgds, strategy=oblivious_strategy())
+
+
+@pytest.mark.parametrize("route", ["name", "instance"])
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        pytest.param({"strategy": "oblivious"}, "firing strategies", id="strategy"),
+        pytest.param({"workers": 2}, "parallel discovery", id="workers"),
+        pytest.param({"match_strategy": "hash"}, "match strategies", id="hash"),
+        pytest.param({"match_strategy": "wcoj"}, "match strategies", id="wcoj"),
+        pytest.param(
+            {"resilience": ResilienceConfig()}, "resilience supervision",
+            id="resilience",
+        ),
+        pytest.param({"context": EvalContext()}, "index hand-off", id="context"),
+    ],
+)
+def test_reference_engine_rejects_semi_naive_options(route, option, message):
+    tgds = parse_tgds("R(x,y) -> R(y,x)")
+    engine = "reference" if route == "name" else ChaseEngine(tgds=[])
+    with pytest.raises(ValueError, match=message):
+        make_engine(engine, tgds, **option)
+    # The no-op values stay accepted for config-driven callers.
+    for accepted in (
+        {"workers": 0},
+        {"workers": 1},
+        {"resilience": False},
+        {"match_strategy": "nested"},
+    ):
+        assert type(make_engine(engine, tgds, **accepted)) is ChaseEngine
 
 
 def test_make_engine_rebinds_prebuilt_instances_to_the_call_site_workload():

@@ -260,7 +260,7 @@ def test_budget_exception_closes_pool_and_releases_workers():
     tgds = parse_tgds("R(x,y) -> R(y,w)")  # null-generating: never terminates
     instance = structure_from_text("R(0,1)")
     engine = SemiNaiveChaseEngine(
-        tgds=list(tgds), max_stages=50, max_atoms=10, keep_snapshots=False,
+        tgds=list(tgds), max_stages=50, max_atoms=10,
         raise_on_budget=True, workers=2,
     )
     with pytest.raises(ChaseBudgetExceeded):
@@ -522,8 +522,7 @@ def test_sigterm_mid_chase_unlinks_segments_and_exits_cleanly():
         tgds = parse_tgds("R(x,y) -> R(y,w)")  # runs until the budget
         instance = structure_from_text("R(0,1)")
         print("RUNNING", flush=True)
-        run_chase(tgds, instance, None, 5_000_000, keep_snapshots=False,
-                  workers=2)
+        run_chase(tgds, instance, None, 5_000_000, workers=2)
         print("FINISHED")  # only reached if the signal lost the race
         """
     )

@@ -20,7 +20,7 @@ from repro.core.atoms import Atom
 from repro.core.homomorphism import HomomorphismProblem
 from repro.core.structure import Structure
 from repro.core.terms import Constant, Variable
-from repro.engine import AtomIndex, make_engine, run_chase
+from repro.engine import AtomIndex, run_chase
 from repro.engine.delta import compiled_delta_matches, select_delta_executor
 from repro.greenred.coloring import Color, dalt_structure
 from repro.query import (
@@ -422,14 +422,6 @@ def test_chase_is_bit_identical_under_wcoj_with_workers():
         tgds, instance, 3, 400, workers=2, match_strategy="wcoj"
     )
     assert_chase_bits_equal(reference, produced, "workers=2 wcoj")
-
-
-def test_reference_engine_rejects_match_strategy():
-    tgds = parse_tgds("R(x,y) -> R(y,x)")
-    with pytest.raises(ValueError, match="match strategies"):
-        make_engine("reference", tgds, match_strategy="wcoj")
-    # "nested" (the no-op value) stays accepted for config-driven callers.
-    make_engine("reference", tgds, match_strategy="nested")
 
 
 def test_wcoj_state_does_not_survive_watermark_preserving_rebuild():
