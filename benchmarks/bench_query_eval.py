@@ -34,6 +34,8 @@ from repro.spiders.anatomy import add_real_spider
 from repro.spiders.ideal import IdealSpider, SpiderUniverse
 from repro.spiders.queries import spider_query_matches, unary_query_body
 
+from direct_executors import executor_solutions
+
 #: The speedup bar asserted on the largest compared configuration.
 MIN_SPEEDUP = 10.0
 
@@ -241,8 +243,9 @@ def test_hash_join_beats_greedy_on_cyclic_body(benchmark, report_lines):
     The triangle body ``R(x,y), R(y,z), R(z,x)`` is the canonical cyclic CQ
     where the greedy left-deep order degrades — the closing atom pays an
     index probe (plus selectivity bookkeeping) per partial path.  The hash
-    executor scans each posting window once and probes partials in O(1);
-    ``strategy="auto"`` must select it on its own.
+    executor scans each posting window once and probes partials in O(1).
+    Both executors are called directly on the same compiled plan (the
+    policy itself picks the generic join for this body, see E19).
     """
     import random
 
@@ -257,21 +260,17 @@ def test_hash_join_beats_greedy_on_cyclic_body(benchmark, report_lines):
     context = q.EvalContext()
     index = context.index_for(target)
     compiled = q.compiled_for(index, tuple(triangle), frozenset(), context=context)
-    assert compiled.hash_recommended, "auto must pick the hash join here"
+    assert compiled.hash_recommended, "the planner must flag the hash join here"
 
     def hash_triangles():
-        return list(
-            q.all_homomorphisms(triangle, target, context=context, strategy="hash")
-        )
+        return executor_solutions(q.execute_hash, triangle, target, context)
 
     benchmark(hash_triangles)
     started = CLOCK()
     hashed = hash_triangles()
     hash_seconds = CLOCK() - started
     started = CLOCK()
-    nested = list(
-        q.all_homomorphisms(triangle, target, context=context, strategy="nested")
-    )
+    nested = executor_solutions(q.execute_nested, triangle, target, context)
     nested_seconds = CLOCK() - started
     reference = list(HomomorphismProblem(triangle, target).solutions())
     assert _canonical(hashed) == _canonical(nested) == _canonical(reference)

@@ -7,7 +7,8 @@ commits into the perf trajectory (same shape as E16–E18):
         --benchmark-disable -q -s | grep '"experiment": "E19"'
 
 Three workload families, all cyclic bodies evaluated under every executor
-with the solution sets asserted identical:
+— each called directly on the same compiled plan — with the solution sets
+asserted identical:
 
 * ``triangle-random`` — triangles on a dense uniform random graph: output
   is large, so all executors pay per-solution costs and WCOJ roughly ties
@@ -34,6 +35,8 @@ from repro.core.homomorphism import HomomorphismProblem
 from repro.core.structure import Structure
 from repro.core.terms import Variable
 from repro.obs import CLOCK, peak_rss_kb
+
+from direct_executors import executor_solutions
 
 #: WCOJ must beat the hash join by this factor on the densest hub config.
 MIN_WCOJ_SPEEDUP = 2.0
@@ -86,24 +89,24 @@ def hub_graph(spokes):
     return Structure(atoms)
 
 
-def _timed_solutions(body, target, strategy):
-    """(seconds, canonical solution set) on a per-strategy fresh context."""
+#: The executors every row compares, by name.
+EXECUTORS = {"nested": q.execute_nested, "hash": q.execute_hash, "wcoj": q.execute_wcoj}
+
+
+def _timed_solutions(body, target, executor):
+    """(seconds, canonical solution set) on a per-executor fresh context."""
     context = q.EvalContext()
-    list(q.all_homomorphisms(body, target, context=context, strategy=strategy))
+    executor_solutions(executor, body, target, context)
     started = CLOCK()
-    solutions = list(
-        q.all_homomorphisms(body, target, context=context, strategy=strategy)
-    )
+    solutions = executor_solutions(executor, body, target, context)
     return CLOCK() - started, _canonical(solutions)
 
 
 def _row(workload, body, target, report_lines, oracle_check=False, **extra):
     timings = {}
     answers = {}
-    for strategy in ("nested", "hash", "wcoj"):
-        timings[strategy], answers[strategy] = _timed_solutions(
-            body, target, strategy
-        )
+    for name, executor in EXECUTORS.items():
+        timings[name], answers[name] = _timed_solutions(body, target, executor)
     assert answers["wcoj"] == answers["hash"] == answers["nested"]
     if oracle_check:
         assert answers["wcoj"] == _canonical(
@@ -137,12 +140,8 @@ def test_triangle_on_random_graph(benchmark, nodes, edges, report_lines):
     compiled = q.compiled_for(
         context.index_for(target), tuple(TRIANGLE), frozenset(), context=context
     )
-    assert compiled.wcoj_recommended, "auto must pick the generic join here"
-    benchmark(
-        lambda: list(
-            q.all_homomorphisms(TRIANGLE, target, context=context, strategy="wcoj")
-        )
-    )
+    assert q.choose_executor(compiled) is q.execute_wcoj, "policy must pick wcoj"
+    benchmark(lambda: executor_solutions(q.execute_wcoj, TRIANGLE, target, context))
     _row(
         "triangle-random", TRIANGLE, target, report_lines,
         oracle_check=(nodes, edges) == RANDOM_TRIANGLE[0],
@@ -155,11 +154,7 @@ def test_triangle_on_random_graph(benchmark, nodes, edges, report_lines):
 def test_triangle_on_skewed_hub(benchmark, spokes, report_lines):
     target = hub_graph(spokes)
     context = q.EvalContext()
-    benchmark(
-        lambda: list(
-            q.all_homomorphisms(TRIANGLE, target, context=context, strategy="wcoj")
-        )
-    )
+    benchmark(lambda: executor_solutions(q.execute_wcoj, TRIANGLE, target, context))
     speedup = _row(
         "triangle-hub", TRIANGLE, target, report_lines,
         oracle_check=spokes == HUB_TRIANGLE[0],
@@ -179,11 +174,7 @@ def test_triangle_on_skewed_hub(benchmark, spokes, report_lines):
 def test_four_clique_on_random_graph(benchmark, nodes, edges, report_lines):
     target = random_graph(48104, nodes, edges)
     context = q.EvalContext()
-    benchmark(
-        lambda: list(
-            q.all_homomorphisms(CLIQUE, target, context=context, strategy="wcoj")
-        )
-    )
+    benchmark(lambda: executor_solutions(q.execute_wcoj, CLIQUE, target, context))
     _row(
         "four-clique", CLIQUE, target, report_lines,
         oracle_check=False,  # the oracle needs minutes on these configs

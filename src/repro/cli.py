@@ -97,7 +97,6 @@ def cmd_serve(args) -> int:
         max_sessions=args.max_sessions,
         idle_ttl=args.idle_ttl,
         session_max_atoms=args.session_max_atoms,
-        default_strategy=args.default_strategy,
         quiet=not args.verbose,
         telemetry=not args.no_telemetry,
         trace_ring=args.trace_ring,
@@ -145,9 +144,7 @@ def cmd_session_ls(args) -> int:
 
 def cmd_session_new(args) -> int:
     with _client(args) as client:
-        session = client.create_session(
-            args.name, max_atoms=args.max_atoms, default_strategy=args.strategy
-        )
+        session = client.create_session(args.name, max_atoms=args.max_atoms)
     print(session["id"])
     _print(render_accounting("atoms", session["atoms"]))
     return 0
@@ -233,7 +230,6 @@ def cmd_chase_run(args) -> int:
             rules,
             result_name=args.result_name,
             workers=args.workers,
-            match_strategy=args.match_strategy,
             strategy=args.strategy,
             max_stages=args.max_stages,
             max_atoms=args.max_atoms,
@@ -291,8 +287,7 @@ def cmd_query(args) -> int:
 
 def cmd_explain(args) -> int:
     with _client(args) as client:
-        result = client.explain(args.session, args.structure, args.query,
-                                strategy=args.strategy)
+        result = client.explain(args.session, args.structure, args.query)
     _print(result["explain"])
     return 0
 
@@ -483,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idle-ttl", type=float, default=None,
                    help="evict sessions idle longer than this many seconds")
     p.add_argument("--session-max-atoms", type=int, default=1_000_000)
-    p.add_argument("--default-strategy", default="auto",
-                   choices=("auto", "nested", "hash", "wcoj"))
     p.add_argument("--verbose", action="store_true", help="log every request")
     p.add_argument("--access-log", default=None, metavar="PATH",
                    help="append one JSON line per request to this file")
@@ -503,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = session_sub.add_parser("new", help="create a session (prints its id)")
     p.add_argument("--name")
     p.add_argument("--max-atoms", type=int)
-    p.add_argument("--strategy", choices=("auto", "nested", "hash", "wcoj"))
     p.set_defaults(func=cmd_session_new)
     p = session_sub.add_parser("show", help="session detail and accounting")
     p.add_argument("session")
@@ -529,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules-file", help="one rule per line, '#' comments")
     p.add_argument("--result-name")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--match-strategy", default=None,
-                   choices=("auto", "nested", "hash", "wcoj"))
     p.add_argument("--strategy", default=None,
                    choices=("lazy", "oblivious", "semi-oblivious"))
     p.add_argument("--max-stages", type=int, default=None)
@@ -554,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("session")
     p.add_argument("structure")
     p.add_argument("query")
-    p.add_argument("--strategy", choices=("auto", "nested", "hash", "wcoj"))
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("stats", help="server-level accounting")

@@ -8,7 +8,8 @@ Section VIII.E counter-model, the Theorem 1 reduction pipeline.  It contains
   value) atom indexes maintained through structure listeners;
 * :mod:`~repro.engine.delta` — semi-naive trigger discovery: at stage
   ``i+1`` only body matches using at least one stage-``i`` atom are
-  enumerated;
+  enumerated, each compiled body on the join executor
+  :func:`repro.query.compile.choose_executor` picks (no caller names one);
 * :mod:`~repro.engine.seminaive` — :class:`SemiNaiveChaseEngine`, a drop-in
   replacement for the reference engine with identical output;
 * :mod:`~repro.engine.strategies` — pluggable lazy / oblivious /
@@ -38,11 +39,7 @@ from typing import Optional, Sequence, Union
 from ..chase.chase import ChaseEngine, ChaseExecutionError, ChaseResult
 from ..chase.tgd import TGD
 from ..core.structure import Structure
-from .delta import (
-    compiled_delta_matches,
-    head_satisfied_indexed,
-    select_delta_executor,
-)
+from .delta import compiled_delta_matches, head_satisfied_indexed
 from .indexes import AtomIndex
 from .parallel import ParallelDiscovery, WorkerError
 from .resilience import (
@@ -71,7 +68,7 @@ _SEMINAIVE_NAMES = frozenset({"seminaive", "semi-naive", "semi_naive", "delta"})
 _REFERENCE_NAMES = frozenset({"reference", "naive", "lazy-reference"})
 
 
-def _check_reference_options(strategy, workers, match_strategy, resilience, context):
+def _check_reference_options(strategy, workers, resilience, context):
     """Reject the semi-naive-only options for the reference engine."""
     if strategy is not None:
         raise ValueError(
@@ -85,11 +82,6 @@ def _check_reference_options(strategy, workers, match_strategy, resilience, cont
         raise ValueError(
             "parallel discovery is a semi-naive engine feature; "
             "the reference engine is strictly serial"
-        )
-    if match_strategy is not None and match_strategy != "nested":
-        raise ValueError(
-            "match strategies are a semi-naive engine feature; "
-            "the reference engine never runs the compiled executors"
         )
     if resilience not in (None, False):
         raise ValueError(
@@ -110,7 +102,6 @@ def make_engine(
     max_atoms: Optional[int] = None,
     strategy=None,
     workers: Optional[int] = None,
-    match_strategy: Optional[str] = None,
     resilience=None,
     context=None,
 ):
@@ -126,11 +117,6 @@ def make_engine(
     ``workers=N`` (N ≥ 2) opts the semi-naive engine into parallel batch
     discovery (:mod:`repro.engine.parallel`); ``None`` keeps the instance's
     own setting, and the reference engine rejects it.
-    ``match_strategy`` selects the compiled executor for delta body matching
-    (``"nested"`` / ``"hash"`` / ``"wcoj"`` / ``"auto"``, see
-    :func:`repro.engine.delta.select_delta_executor`); output is
-    bit-identical under every choice, and the reference engine — which does
-    not run the compiled runtime — accepts only ``None`` / ``"nested"``.
     ``resilience`` tunes the parallel pool's fault tolerance
     (:mod:`repro.engine.resilience`): ``None`` keeps the instance's setting
     (supervised defaults for fresh engines), ``False`` means zero retries
@@ -147,9 +133,7 @@ def make_engine(
         engine = DEFAULT_ENGINE
     if isinstance(engine, (ChaseEngine, SemiNaiveChaseEngine)):
         if not isinstance(engine, SemiNaiveChaseEngine):
-            _check_reference_options(
-                strategy, workers, match_strategy, resilience, context
-            )
+            _check_reference_options(strategy, workers, resilience, context)
             return replace(
                 engine,
                 tgds=list(tgds),
@@ -164,9 +148,6 @@ def make_engine(
             max_stages=min_bound(max_stages, engine.max_stages),
             max_atoms=min_bound(max_atoms, engine.max_atoms),
             workers=engine.workers if workers is None else workers,
-            match_strategy=(
-                engine.match_strategy if match_strategy is None else match_strategy
-            ),
             resilience=engine.resilience if resilience is None else resilience,
             context=engine.context if context is None else context,
         )
@@ -179,14 +160,11 @@ def make_engine(
                 max_atoms=max_atoms,
                 strategy=resolve_strategy(strategy),
                 workers=workers or 0,
-                match_strategy=match_strategy or "nested",
                 resilience=resilience,
                 context=context,
             )
         if name in _REFERENCE_NAMES:
-            _check_reference_options(
-                strategy, workers, match_strategy, resilience, context
-            )
+            _check_reference_options(strategy, workers, resilience, context)
             return ChaseEngine(
                 tgds=list(tgds), max_stages=max_stages, max_atoms=max_atoms
             )
@@ -206,7 +184,6 @@ def run_chase(
     engine: EngineSpec = None,
     strategy=None,
     workers: Optional[int] = None,
-    match_strategy: Optional[str] = None,
     resilience=None,
     context=None,
 ) -> ChaseResult:
@@ -215,12 +192,10 @@ def run_chase(
     This is the engine-aware sibling of :func:`repro.chase.chase`; with
     ``engine="reference"`` the two are the same computation.  ``workers=N``
     (N ≥ 2) runs each stage's trigger discovery on a process pool — output
-    is bit-identical to the serial run.  ``match_strategy`` selects the
-    compiled executor for delta matching (``"wcoj"`` enables the
-    worst-case-optimal generic join; output is identical either way).
-    ``resilience`` tunes the pool's fault supervision (``False``: zero
-    retries, no fallback) — see :mod:`repro.engine.resilience`; recovery never
-    changes output, only whether a faulted run survives.  ``context``
+    is bit-identical to the serial run.  ``resilience`` tunes the pool's
+    fault supervision (``False``: zero retries, no fallback) — see
+    :mod:`repro.engine.resilience`; recovery never changes output, only
+    whether a faulted run survives.  ``context``
     selects the evaluation context the chased structure's index is donated
     to (``None`` = the process-wide shared context) — per-session callers
     pass their own so post-chase queries stay isolated.
@@ -236,7 +211,6 @@ def run_chase(
         max_atoms=max_atoms,
         strategy=strategy,
         workers=workers,
-        match_strategy=match_strategy,
         resilience=resilience,
         context=context,
     )
@@ -271,6 +245,5 @@ __all__ = [
     "resolve_resilience",
     "resolve_strategy",
     "run_chase",
-    "select_delta_executor",
     "semi_oblivious_strategy",
 ]

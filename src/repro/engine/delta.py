@@ -13,7 +13,9 @@ atoms against the stage-start prefix of the index.
 
 All matching here runs the compiled query runtime (:mod:`repro.query`)
 against :class:`~repro.engine.indexes.AtomIndex` posting-list prefixes — no
-structure copy, no frozenset materialisation.  The reference chase and
+structure copy, no frozenset materialisation — on the executor
+:func:`repro.query.compile.choose_executor` picks per compiled (body,
+seed).  The reference chase and
 :class:`~repro.core.homomorphism.HomomorphismProblem` are the oracles the
 tests hold this enumeration against.
 """
@@ -25,9 +27,8 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..chase.tgd import TGD
 from ..core.terms import is_rigid
 from ..obs.metrics import active as _metrics_active
-from ..query.compile import STRATEGIES, compiled_for, execute_hash, execute_nested
+from ..query import compile as _compile
 from ..query.evaluator import exists_match
-from ..query.wcoj import execute_wcoj
 from .indexes import AtomIndex
 
 Assignment = Dict[object, object]
@@ -59,30 +60,6 @@ def assignment_layout(tgd: TGD) -> Tuple[object, ...]:
     return tuple(sorted(terms, key=repr))
 
 
-def select_delta_executor(compiled, strategy: str):
-    """The compiled executor the delta discipline runs *compiled* on.
-
-    ``"nested"`` (the default everywhere) is the engine's historical
-    executor; ``"wcoj"`` / ``"hash"`` force the generic-join or hash-join
-    executor; ``"auto"`` upgrades to the worst-case-optimal executor exactly
-    when the compiler flagged the seeded body
-    (:attr:`~repro.query.compile.CompiledQuery.wcoj_recommended`: cyclic
-    over large enough posting lists) and stays nested otherwise.  Every
-    executor enumerates the same match set under the same seed windows, so
-    the choice never reaches the chase output — the differential harness
-    pins this bit for bit.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown match strategy {strategy!r}; known: {', '.join(STRATEGIES)}"
-        )
-    if strategy == "wcoj" or (strategy == "auto" and compiled.wcoj_recommended):
-        return execute_wcoj
-    if strategy == "hash":
-        return execute_hash
-    return execute_nested
-
-
 def iter_encoded_matches(
     tgd: TGD,
     layout: Tuple[object, ...],
@@ -91,7 +68,6 @@ def iter_encoded_matches(
     stage_start: int,
     seed_lo: Optional[int] = None,
     seed_hi: Optional[int] = None,
-    strategy: str = "nested",
 ) -> Iterator[Tuple[int, ...]]:
     """Delta body matches as interned-ID rows in *layout* order.
 
@@ -115,6 +91,12 @@ def iter_encoded_matches(
     delta-window splitting relies on (each worker produces the serial
     matches whose seed stamp falls in its sub-window, no overlaps, no
     gaps).
+
+    Each compiled (body, seed) runs on the executor
+    :func:`~repro.query.compile.choose_executor` picks — looked up through
+    the module, so serial, worker and fallback discovery share one policy.
+    Every executor enumerates the same match set under the same seed
+    windows, so the choice never reaches the chase output.
     """
     body = tuple(tgd.body)
     if not body:
@@ -140,10 +122,10 @@ def iter_encoded_matches(
             continue  # no delta atoms can seed at this position
         if registry is not None:
             registry.counter("delta.seeds_enumerated").inc()
-        compiled = compiled_for(index, body, frozenset(), seed=seed)
+        compiled = _compile.compiled_for(index, body, frozenset(), seed=seed)
         slot_of = dict(compiled.outputs)
         order = tuple(slot_of[term] for term in layout)
-        executor = select_delta_executor(compiled, strategy)
+        executor = _compile.choose_executor(compiled)
         for registers in executor(
             compiled,
             index,
@@ -162,7 +144,6 @@ def compiled_delta_matches(
     delta_lo: int,
     stage_start: int,
     seed_window: Optional[Tuple[int, int]] = None,
-    strategy: str = "nested",
 ) -> Iterator[Assignment]:
     """All body matches in the stage-start prefix that use at least one atom
     with stamp in ``[delta_lo, stage_start)``, as assignment dicts.
@@ -173,13 +154,12 @@ def compiled_delta_matches(
     the prefix, which is exactly what the first stage needs.  A thin decode
     wrapper over :func:`iter_encoded_matches`, which holds the actual
     enumeration logic — keeping serial and parallel discovery on one code
-    path.  ``strategy`` selects the compiled executor (see
-    :func:`select_delta_executor`).
+    path.
     """
     layout = assignment_layout(tgd)
     seed_lo, seed_hi = seed_window if seed_window is not None else (None, None)
     term = index.interner.term
     for row in iter_encoded_matches(
-        tgd, layout, index, delta_lo, stage_start, seed_lo, seed_hi, strategy
+        tgd, layout, index, delta_lo, stage_start, seed_lo, seed_hi
     ):
         yield {variable: term(vid) for variable, vid in zip(layout, row)}

@@ -216,7 +216,6 @@ def task_rows(
     task: Task,
     delta_lo: int,
     stage_start: int,
-    strategy: str,
 ) -> List[Tuple[int, ...]]:
     """One task's candidate rows: the enumeration a worker runs per task.
 
@@ -233,7 +232,6 @@ def task_rows(
             stage_start,
             seed_lo,
             seed_hi,
-            strategy,
         )
     )
 
@@ -244,7 +242,7 @@ def task_rows(
 def _worker_main(conn, tgds: Sequence[TGD]) -> None:
     """The worker process loop: sync the replica, run tasks, ship rows back.
 
-    Messages in: ``("run", sync, delta_lo, stage_start, tasks, strategy,
+    Messages in: ``("run", sync, delta_lo, stage_start, tasks,
     fault_directives, atoms_total)`` where ``sync`` is a
     :class:`~repro.engine.shm.ShmSync` to attach/re-bind shared-memory
     segments from, or ``None`` when nothing changed; ``("reset",)`` (drop
@@ -328,7 +326,6 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
                     delta_lo,
                     stage_start,
                     tasks,
-                    strategy,
                     fault_directives,
                     atoms_total,
                 ) = message
@@ -378,13 +375,7 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
                         os._exit(CRASH_EXIT_CODE)
                     results.append(
                         task_rows(
-                            tgds,
-                            layouts,
-                            replica,
-                            task,
-                            delta_lo,
-                            stage_start,
-                            strategy,
+                            tgds, layouts, replica, task, delta_lo, stage_start
                         )
                     )
                 if synced != (interner.term_count(), interner.predicate_count()):
@@ -592,7 +583,6 @@ class ParallelDiscovery:
         index: AtomIndex,
         delta_lo: int,
         stage_start: int,
-        strategy: str = "nested",
         stage: Optional[int] = None,
         deadline: Optional[float] = None,
         tasks: Optional[List[Task]] = None,
@@ -709,7 +699,6 @@ class ParallelDiscovery:
                 delta_lo,
                 stage_start,
                 part,
-                strategy,
                 tuple(directives.get(worker_id, ())),
                 atoms_total,
             )

@@ -203,7 +203,7 @@ class SupervisedDiscovery:
     """Per-run supervisor wrapping one :class:`ParallelDiscovery` pool.
 
     The engine's discovery call site:
-    ``discover(index, delta_lo, stage_start, strategy=..., stage=...)``
+    ``discover(index, delta_lo, stage_start, stage=...)``
     returns one assignment list per TGD under a single
     ``parallel.discover`` span per stage; faults inside the stage are
     retried, healed, degraded or raised per the :class:`ResilienceConfig`.
@@ -238,7 +238,6 @@ class SupervisedDiscovery:
         index,
         delta_lo: int,
         stage_start: int,
-        strategy: str = "nested",
         stage: Optional[int] = None,
     ) -> List[List[Assignment]]:
         """One stage's discovery under supervision (see the module docs)."""
@@ -258,7 +257,7 @@ class SupervisedDiscovery:
         )
         with span:
             if self.degraded or not pool_live:
-                results = self._serial_all(index, delta_lo, stage_start, strategy)
+                results = self._serial_all(index, delta_lo, stage_start)
                 span.note(
                     degraded=True,
                     candidates=sum(len(bucket) for bucket in results),
@@ -275,7 +274,6 @@ class SupervisedDiscovery:
                         index,
                         delta_lo,
                         stage_start,
-                        strategy,
                         stage=stage,
                         deadline=config.stage_deadline,
                         tasks=lost,
@@ -293,9 +291,7 @@ class SupervisedDiscovery:
                         self._degrade(
                             tracer, stage, f"pool unrecoverable: {error}", []
                         )
-                        results = self._serial_all(
-                            index, delta_lo, stage_start, strategy
-                        )
+                        results = self._serial_all(index, delta_lo, stage_start)
                         span.note(
                             degraded=True,
                             candidates=sum(len(b) for b in results),
@@ -305,10 +301,7 @@ class SupervisedDiscovery:
                     self._degrade(
                         tracer, stage, f"pool unrecoverable: {error}", lost
                     )
-                    self._serial_tasks(
-                        rows_by_task, index, lost, delta_lo, stage_start,
-                        strategy,
-                    )
+                    self._serial_tasks(rows_by_task, index, lost, delta_lo, stage_start)
                     break
                 if tasks is None:
                     # The merge is keyed by the *first* dispatch's task
@@ -352,10 +345,7 @@ class SupervisedDiscovery:
                         f"retry budget of {config.max_retries} exhausted",
                         lost,
                     )
-                    self._serial_tasks(
-                        rows_by_task, index, lost, delta_lo, stage_start,
-                        strategy,
-                    )
+                    self._serial_tasks(rows_by_task, index, lost, delta_lo, stage_start)
                     break
                 attempt += 1
                 self.counts["retried"] += 1
@@ -403,25 +393,19 @@ class SupervisedDiscovery:
         lost: List[Task],
         delta_lo: int,
         stage_start: int,
-        strategy: str,
     ) -> None:
         """Recompute *lost* tasks engine-side (the workers' enumeration)."""
         for task in lost:
             rows_by_task[task] = task_rows(
-                self._tgds, self._layouts, index, task, delta_lo, stage_start,
-                strategy,
+                self._tgds, self._layouts, index, task, delta_lo, stage_start
             )
 
     def _serial_all(
-        self, index, delta_lo: int, stage_start: int, strategy: str
+        self, index, delta_lo: int, stage_start: int
     ) -> List[List[Assignment]]:
         """A fully serial stage — the post-degrade (tier 1) path."""
         return [
-            list(
-                compiled_delta_matches(
-                    tgd, index, delta_lo, stage_start, strategy=strategy
-                )
-            )
+            list(compiled_delta_matches(tgd, index, delta_lo, stage_start))
             for tgd in self._tgds
         ]
 

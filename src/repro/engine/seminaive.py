@@ -26,7 +26,7 @@ the two stage by stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from ..chase.chase import ChaseBudgetExceeded, ChaseResult, StageSnapshots
@@ -53,7 +53,9 @@ class SemiNaiveChaseEngine:
     (see :mod:`repro.engine.strategies`); the default lazy strategy is the
     paper's chase.  ``workers=N`` additionally fans each stage's batch
     discovery out over a process pool (:mod:`repro.engine.parallel`) without
-    changing a single output bit.
+    changing a single output bit.  Body matching runs on the executor
+    :func:`repro.query.compile.choose_executor` picks per compiled body —
+    there is no executor option.
     """
 
     tgds: Sequence[TGD]
@@ -61,12 +63,9 @@ class SemiNaiveChaseEngine:
     max_atoms: Optional[int] = None
     raise_on_budget: bool = False
     strategy: FiringStrategy = field(default_factory=lazy_strategy)
-    #: Donate the run's AtomIndex to a query-evaluation context so post-chase
-    #: queries on the result (certificate checks, containment) reuse it
-    #: instead of rebuilding; set False to detach it as before.
-    share_index: bool = True
     #: The :class:`~repro.query.context.EvalContext` the run's index is
-    #: donated to (``share_index=True``).  ``None`` — the historical default —
+    #: donated to, so post-chase queries on the result (certificate checks,
+    #: containment) reuse it instead of rebuilding.  ``None`` — the default —
     #: selects the process-wide ``repro.query.context.shared_context``; a
     #: long-lived multi-tenant caller (the session server of
     #: :mod:`repro.service`) passes its per-session context here so one
@@ -78,12 +77,11 @@ class SemiNaiveChaseEngine:
     #: into the canonical order, so the run stays bit-identical either way.
     #: The firing pass is always serial — the chase discipline demands it.
     workers: int = 0
-    #: Compiled executor for delta body matching: ``"nested"`` (the
-    #: historical default), ``"hash"``, ``"wcoj"`` (worst-case-optimal
-    #: generic join), or ``"auto"`` (upgrade to WCOJ on cyclic bodies over
-    #: large posting lists).  Discovery enumerates the same match set under
-    #: every strategy, so the chase output is bit-identical regardless.
-    match_strategy: str = "nested"
+    #: Constructor-only compatibility argument: accepts ``None`` or
+    #: ``"auto"`` (the executor is always chosen per compiled body) and
+    #: rejects anything else.  It goes once the repository benchmark stops
+    #: passing ``match_strategy="auto"``.
+    match_strategy: InitVar[Optional[str]] = None
     #: Fault tolerance of the parallel discovery pool
     #: (:mod:`repro.engine.resilience`): ``None`` (the default) supervises
     #: with environment-tunable defaults — dead workers are respawned
@@ -111,6 +109,13 @@ class SemiNaiveChaseEngine:
     #: context-manager exit); ``run_chase`` closes the ephemeral engines it
     #: builds, keeping the one-shot path leak-free as before.
     _pool: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self, match_strategy: Optional[str]) -> None:
+        if match_strategy not in (None, "auto"):
+            raise ValueError(
+                f"unknown match strategy {match_strategy!r}: the join executor "
+                "is chosen per compiled body; only None or 'auto' is accepted"
+            )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -161,16 +166,6 @@ class SemiNaiveChaseEngine:
     # ------------------------------------------------------------------
     def run(self, instance: Structure) -> ChaseResult:
         """Run the chase from *instance* (which is not modified)."""
-        from ..query.compile import STRATEGIES
-
-        if self.match_strategy not in STRATEGIES:
-            # Fail fast and engine-side: a typo must not wait for the first
-            # non-empty delta window (or surface as a remote WorkerError
-            # that poisons the pool mid-stage).
-            raise ValueError(
-                f"unknown match strategy {self.match_strategy!r}; "
-                f"known: {', '.join(STRATEGIES)}"
-            )
         current = instance.copy(
             name=f"chase({instance.name})" if instance.name else "chase"
         )
@@ -200,7 +195,6 @@ class SemiNaiveChaseEngine:
             stats = ChaseRunStats(
                 engine="seminaive",
                 strategy=self.strategy.name,
-                match_strategy=self.match_strategy,
                 workers=self.workers,
             )
         run_started = CLOCK() if stats is not None else 0.0
@@ -209,7 +203,6 @@ class SemiNaiveChaseEngine:
                 "chase.run",
                 engine="seminaive",
                 strategy=self.strategy.name,
-                match_strategy=self.match_strategy,
                 workers=self.workers,
             )
             if tracer is not None
@@ -273,18 +266,15 @@ class SemiNaiveChaseEngine:
                     # A failed worker poisons (closes) the pool mid-run; drop
                     # the dead reference so the next run builds a fresh one.
                     self._pool = None
-                if self.share_index:
-                    # Keep the index attached and hand it to the query layer:
-                    # the chased structure's first certificate / containment
-                    # check then starts from a warm index (no rebuild).  The
-                    # receiving context is the engine's own (session-scoped
-                    # callers) or the process-wide default — never hardwired
-                    # to the global, so sessions stay isolated.
-                    from ..query.context import get_context
+                # Keep the index attached and hand it to the query layer: the
+                # chased structure's first certificate / containment check
+                # then starts from a warm index (no rebuild).  The receiving
+                # context is the engine's own (session-scoped callers) or the
+                # process-wide default — never hardwired to the global, so
+                # sessions stay isolated.
+                from ..query.context import get_context
 
-                    get_context(self.context).adopt(current, index)
-                else:
-                    index.detach()
+                get_context(self.context).adopt(current, index)
             if stats is not None:
                 if supervisor is not None:
                     # The supervisor's ledger mirrors the parallel.fault.*
@@ -420,20 +410,13 @@ class SemiNaiveChaseEngine:
                 # The stage number travels down as the coordinate the fault
                 # injector and the retry/degrade events key on.
                 per_tgd: Iterable[Iterable[Assignment]] = supervisor.discover(
-                    index,
-                    delta_lo,
-                    stage_start,
-                    strategy=self.match_strategy,
-                    stage=stage,
+                    index, delta_lo, stage_start, stage=stage
                 )
                 if timed:
                     discovery_seconds += CLOCK() - started
             else:
                 per_tgd = (
-                    compiled_delta_matches(
-                        tgd, index, delta_lo, stage_start,
-                        strategy=self.match_strategy,
-                    )
+                    compiled_delta_matches(tgd, index, delta_lo, stage_start)
                     for tgd in self.tgds
                 )
             stage_candidates: List[List[tuple]] = []

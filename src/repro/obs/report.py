@@ -10,8 +10,9 @@ Three consumers of the raw telemetry:
   accounting.  :meth:`ChaseRunStats.render` prints the per-stage table.
 * :func:`explain` — compiles a query against a structure exactly as
   evaluation would and renders the plan: join order, per-step stamp windows
-  and posting sizes, the executor ``strategy="auto"`` would dispatch to and
-  *why* (cyclicity, thresholds), the WCOJ variable order where relevant, and
+  and posting sizes, the executor
+  :func:`~repro.query.compile.choose_executor` picks and *why* (cyclicity,
+  thresholds), the WCOJ variable order where relevant, and
   the index's plan-cache hit ratios.
 * :func:`summarize_trace` / :class:`TraceSummary` — folds a JSON-lines
   trace file (:mod:`repro.obs.trace`) into per-name span/event totals and
@@ -63,7 +64,6 @@ class ChaseRunStats:
 
     engine: str = "seminaive"
     strategy: str = "lazy"
-    match_strategy: str = "nested"
     workers: int = 0
     stages: List[StageStats] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -114,7 +114,6 @@ class ChaseRunStats:
         return {
             "engine": self.engine,
             "strategy": self.strategy,
-            "match_strategy": self.match_strategy,
             "workers": self.workers,
             "stages_run": self.stages_run,
             "candidates": self.candidates,
@@ -149,7 +148,7 @@ class ChaseRunStats:
         """The per-stage table plus the run-level cache/interner summary."""
         header = (
             f"chase run: engine={self.engine} strategy={self.strategy} "
-            f"match={self.match_strategy} workers={self.workers} "
+            f"workers={self.workers} "
             f"wall={self.wall_seconds:.4f}s"
         )
         columns = (
@@ -238,46 +237,41 @@ def _query_atoms(query) -> Tuple[object, ...]:
     return tuple(query)
 
 
-def explain(structure, query, context=None, strategy: Optional[str] = None) -> str:
+def explain(structure, query, context=None) -> str:
     """Render how the compiled runtime would evaluate *query* on *structure*.
 
     Compiles (or fetches the cached plan of) the query body against the
     structure's shared index — exactly the lookup an evaluation performs, so
     the output reflects the true cached plan — and explains the join order,
     the per-step posting statistics and the executor choice with its
-    rationale.  *strategy* defaults to the context's ``default_strategy``.
+    rationale.  The executor is
+    :func:`~repro.query.compile.choose_executor`'s pick for a full
+    evaluation — the same call :func:`~repro.query.compile.execute` makes.
     """
+    from ..query import compile as _compile
     from ..query.compile import (
         HASH_SCAN_THRESHOLD,
         WCOJ_AUTO_THRESHOLD,
         compiled_for,
+        executor_name,
         plan_cache_for,
     )
     from ..query.context import get_context
     from ..query.wcoj import build_wcoj_plan
 
     context = get_context(context)
-    if strategy is None:
-        strategy = context.default_strategy
     atoms = _query_atoms(query)
     index = context.index_for(structure)
     compiled = compiled_for(index, atoms, frozenset(), context=context)
-
-    if strategy == "wcoj" or (strategy == "auto" and compiled.wcoj_recommended):
-        chosen = "wcoj"
-    elif strategy == "hash" or (strategy == "auto" and compiled.hash_recommended):
-        chosen = "hash"
-    elif strategy == "auto":
-        chosen = "nested"
-    else:
-        chosen = strategy
+    # Through the module, so a replaced policy is what explain reports.
+    chosen = executor_name(_compile.choose_executor(compiled))
 
     lines = [
         f"query: {len(atoms)} atoms over "
         f"{len(structure)} atoms / watermark {index.watermark()}",
-        f"strategy: {strategy} -> executor: {chosen}",
+        f"executor: {chosen}",
     ]
-    # Rationale: the exact predicates execute() consults, spelled out.
+    # Rationale: the exact flags choose_executor() consults, spelled out.
     largest = max((step.planned_count for step in compiled.steps), default=0)
     if compiled.cyclic:
         lines.append(
@@ -287,7 +281,7 @@ def explain(structure, query, context=None, strategy: Optional[str] = None) -> s
         if compiled.wcoj_recommended:
             lines.append(
                 f"  largest posting list {largest} >= wcoj threshold "
-                f"{WCOJ_AUTO_THRESHOLD}: auto upgrades to the generic join"
+                f"{WCOJ_AUTO_THRESHOLD}: upgrades to the generic join"
             )
         else:
             lines.append(
@@ -300,7 +294,7 @@ def explain(structure, query, context=None, strategy: Optional[str] = None) -> s
     if compiled.hash_recommended and not compiled.cyclic:
         lines.append(
             f"  opening scan >= {HASH_SCAN_THRESHOLD} rows with no bound "
-            "positions: auto prefers the build-probe hash join"
+            "positions: prefers the build-probe hash join"
         )
     lines.append("plan (most-constrained-first join order):")
     for number, step in enumerate(compiled.steps):

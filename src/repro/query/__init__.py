@@ -19,7 +19,8 @@ semi-naive chase engine:
   bodies compiled once into register programs (cached per index, validated
   against the structure's generation counter) and executed by lazy
   index-probe nested loops, by a build–probe hash join, or by the
-  worst-case-optimal generic join (``strategy=``, auto-selected per shape);
+  worst-case-optimal generic join (picked per compiled shape by
+  :func:`~repro.query.compile.choose_executor`, the one selection policy);
 * :mod:`~repro.query.wcoj` — the worst-case-optimal executor: sorted column
   tries cached on the index, deterministic variable-order planning, and
   bisect-based leapfrog intersection — the executor of choice for cyclic
@@ -39,9 +40,9 @@ calls into it through function-level imports, so no import cycles arise.
 """
 
 from .compile import (
-    STRATEGIES,
     CompiledQuery,
     PlanCache,
+    choose_executor,
     compile_query,
     compiled_for,
     execute,
@@ -73,13 +74,13 @@ __all__ = [
     "EvalContext",
     "Interner",
     "PlanCache",
-    "STRATEGIES",
     "Trie",
     "TrieCache",
     "WcojPlan",
     "all_homomorphisms",
     "are_isomorphic",
     "build_wcoj_plan",
+    "choose_executor",
     "compile_query",
     "compiled_for",
     "evaluate",

@@ -34,19 +34,27 @@ eagerly so the plan stays valid when matching facts appear later.
   ``exists``-style and ``limit=1`` calls;
 * :func:`execute_hash` — breadth-first hash join: per step, one scan of the
   step's posting window builds a table keyed on the already-bound positions,
-  and every partial result probes it in O(1).  Selected by ``strategy="auto"``
-  for unselective opening scans on acyclic bodies;
+  and every partial result probes it in O(1).  Chosen for cyclic bodies
+  below the generic-join threshold and for acyclic bodies that open with
+  a large unselective scan;
 * :func:`repro.query.wcoj.execute_wcoj` — worst-case-optimal generic join
   (Leapfrog Triejoin-style): one variable at a time, multiway leapfrog
-  intersection over sorted column tries.  Selected by ``strategy="auto"``
-  for cyclic bodies over large enough posting lists, where *any* binary
-  join order can materialise intermediates asymptotically larger than the
-  output (the AGM bound).
+  intersection over sorted column tries.  Chosen for cyclic bodies over
+  large enough posting lists, where *any* binary join order can
+  materialise intermediates asymptotically larger than the output (the
+  AGM bound).
+
+**Selection.**  No caller names an executor: :func:`choose_executor` picks
+one per compiled shape from the planner's flags, and every dispatch site —
+:func:`execute`, the engine's delta enumeration
+(:func:`repro.engine.delta.iter_encoded_matches`) and
+:func:`repro.obs.report.explain` — calls it through this module, so the
+policy lives in exactly one place.
 
 All executors produce exactly the same solution *set* as the reference
 :class:`~repro.core.homomorphism.HomomorphismProblem`; the differential
 suites in ``tests/test_query_eval.py`` / ``tests/test_wcoj.py`` hold them
-against each other.
+against each other (pinning one by replacing :func:`choose_executor`).
 """
 
 from __future__ import annotations
@@ -91,18 +99,15 @@ W_STAGE = 3  # [0, stage)        — the stage-start prefix
 GROWTH_FACTOR = 2
 GROWTH_FLOOR = 16
 
-#: ``strategy="auto"`` opens with a hash join when the first step scans an
-#: unbound posting list at least this large (and the body has ≥ 3 atoms).
+#: :func:`choose_executor` opens with a hash join when the first step scans
+#: an unbound posting list at least this large (and the body has ≥ 3 atoms).
 HASH_SCAN_THRESHOLD = 128
 
-#: ``strategy="auto"`` upgrades a *cyclic* body to the worst-case-optimal
+#: :func:`choose_executor` upgrades a *cyclic* body to the worst-case-optimal
 #: generic-join executor (:mod:`repro.query.wcoj`) once the largest posting
 #: list it scans reaches this size — below it, the trie-build preamble costs
 #: more than any binary-join blowup could.
 WCOJ_AUTO_THRESHOLD = 64
-
-#: The executor names :func:`execute` accepts.
-STRATEGIES = ("auto", "nested", "hash", "wcoj")
 
 
 class CompiledStep:
@@ -204,7 +209,7 @@ class CompiledQuery:
         #: (the shape where binary join orders can blow up intermediates).
         self.cyclic = cyclic
         self.hash_recommended = hash_recommended
-        #: ``strategy="auto"`` upgrades to the generic-join executor here.
+        #: :func:`choose_executor` upgrades to the generic-join executor here.
         self.wcoj_recommended = wcoj_recommended
         # The derived worst-case-optimal plan (variable order + per-atom trie
         # specs) and the per-snapshot trie preamble, both lazily filled by
@@ -418,8 +423,8 @@ def compile_query(
             ):
                 hash_recommended = True
     # Cyclicity is a property of the body alone, so the generic-join upgrade
-    # applies to seeded (delta-window) compilations too — the engine's
-    # ``match_strategy="auto"`` consults the flag per compiled (body, seed).
+    # applies to seeded (delta-window) compilations too — delta discovery
+    # consults the flag per compiled (body, seed).
     wcoj_recommended = cyclic and any(
         step.planned_count >= WCOJ_AUTO_THRESHOLD for step in steps
     )
@@ -900,6 +905,33 @@ def execute_hash(
     yield from iter(partials)
 
 
+def choose_executor(compiled: CompiledQuery, first_only: bool = False):
+    """The executor that runs *compiled*: the runtime's one selection policy.
+
+    The worst-case-optimal generic join for cyclic bodies over large enough
+    posting lists (:attr:`CompiledQuery.wcoj_recommended`), the hash join
+    where the planner flagged the shape as degrading for left-deep probing
+    (:attr:`CompiledQuery.hash_recommended`, never set on seeded delta
+    compilations), and nested probing otherwise — also whenever the caller
+    only wants the first solution, where the lazy nested executor's first
+    root-to-leaf descent is unbeatable.  Every executor yields the same
+    solution set, so the choice never reaches a result.
+    """
+    if not first_only:
+        if compiled.wcoj_recommended:
+            from .wcoj import execute_wcoj  # function-level: wcoj imports this module
+
+            return execute_wcoj
+        if compiled.hash_recommended:
+            return execute_hash
+    return execute_nested
+
+
+def executor_name(executor) -> str:
+    """``"nested"`` / ``"hash"`` / ``"wcoj"`` for an ``execute_*`` function."""
+    return executor.__name__[len("execute_"):]
+
+
 def execute(
     compiled: CompiledQuery,
     index: "AtomIndex",
@@ -907,45 +939,17 @@ def execute(
     hi: Optional[int] = None,
     delta_lo: Optional[int] = None,
     stage_start: Optional[int] = None,
-    strategy: str = "auto",
     first_only: bool = False,
 ) -> Iterator[List[int]]:
-    """Run *compiled* with the executor *strategy* selects.
-
-    ``"auto"`` picks the worst-case-optimal generic join for cyclic bodies
-    over large enough posting lists (:attr:`CompiledQuery.wcoj_recommended`),
-    the hash join where the planner flagged the shape as degrading for
-    left-deep probing (:attr:`CompiledQuery.hash_recommended`) — unless the
-    caller only wants the first solution, where the lazy nested executor's
-    first root-to-leaf descent is unbeatable — and nested probing otherwise.
-    The strategy name is validated up front, before any executor is chosen,
-    so a typo fails identically regardless of what ``auto`` would have done.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown join strategy {strategy!r}; known: {', '.join(STRATEGIES)}"
-        )
-    if strategy == "wcoj" or (
-        strategy == "auto" and compiled.wcoj_recommended and not first_only
-    ):
-        from .wcoj import execute_wcoj  # function-level: wcoj imports this module
-
-        chosen = "wcoj"
-        rows = execute_wcoj(compiled, index, registers, hi, delta_lo, stage_start)
-    elif strategy == "hash" or (
-        strategy == "auto" and compiled.hash_recommended and not first_only
-    ):
-        chosen = "hash"
-        rows = execute_hash(compiled, index, registers, hi, delta_lo, stage_start)
-    else:
-        chosen = "nested"
-        rows = execute_nested(compiled, index, registers, hi, delta_lo, stage_start)
+    """Run *compiled* on the executor :func:`choose_executor` picks."""
+    executor = choose_executor(compiled, first_only)
+    chosen = executor_name(executor)
+    rows = executor(compiled, index, registers, hi, delta_lo, stage_start)
     tracer = _get_tracer()
     if tracer is not None:
         tracer.event(
             "query.execute",
             executor=chosen,
-            requested=strategy,
             atoms=len(compiled.steps),
             first_only=first_only,
         )

@@ -58,29 +58,13 @@ class EvalContext:
     mutable, so content-based hashing would corrupt the table as they grow).
     """
 
-    def __init__(self, default_strategy: str = "auto") -> None:
-        from .compile import STRATEGIES
-
-        if default_strategy not in STRATEGIES:
-            # Fail at construction, not deep inside the first evaluation
-            # routed through this context — the same fail-fast discipline as
-            # execute() and the engine's match_strategy.
-            raise ValueError(
-                f"unknown join strategy {default_strategy!r}; "
-                f"known: {', '.join(STRATEGIES)}"
-            )
+    def __init__(self) -> None:
         self._entries: Dict[int, "weakref.ref[AtomIndex]"] = {}
         self._inserts_since_purge = 0
         # Guards _entries, the purge counter and the build-or-reuse decision
         # of index_for (see the module docs).  Reentrant because adopt() may
         # be reached from call stacks that already hold it via index_for.
         self._lock = threading.RLock()
-        #: The join-executor strategy used when a caller passes none —
-        #: ``"auto"`` (nested / hash / wcoj picked per compiled shape),
-        #: ``"nested"``, ``"hash"`` or ``"wcoj"``.  Letting a context carry
-        #: the choice threads it through call sites that never expose a
-        #: ``strategy`` parameter (spider matching, certificate checks, …).
-        self.default_strategy = default_strategy
         #: Number of indexes this context built itself.
         self.indexes_built = 0
         #: Number of lookups answered by an already-registered index.

@@ -56,7 +56,6 @@ def _compiled_solutions(
     assignment: Assignment,
     hi: Optional[int],
     context: Optional[EvalContext] = None,
-    strategy: str = "auto",
     first_only: bool = False,
 ) -> Iterator[Assignment]:
     """Decoded compiled matches of *atoms* extending *assignment*.
@@ -85,12 +84,7 @@ def _compiled_solutions(
         registers[slot] = tid
     outputs = compiled.outputs
     for registers_out in execute(
-        compiled,
-        index,
-        registers,
-        hi=hi,
-        strategy=strategy,
-        first_only=first_only,
+        compiled, index, registers, hi=hi, first_only=first_only
     ):
         solution = dict(assignment)
         for term, slot in outputs:
@@ -106,17 +100,11 @@ def iter_matches(
     index: AtomIndex,
     assignment: Optional[Assignment] = None,
     hi: Optional[int] = None,
-    strategy: str = "auto",
     first_only: bool = False,
 ) -> Iterator[Assignment]:
     """Compiled matches of *atoms* against *index*, extending *assignment*."""
     return _compiled_solutions(
-        list(atoms),
-        index,
-        dict(assignment or {}),
-        hi,
-        strategy=strategy,
-        first_only=first_only,
+        list(atoms), index, dict(assignment or {}), hi, first_only=first_only
     )
 
 
@@ -208,7 +196,6 @@ def iter_homomorphisms(
     frozen: Iterable[object] = (),
     limit: Optional[int] = None,
     context: Optional[EvalContext] = None,
-    strategy: Optional[str] = None,
 ) -> Iterator[Assignment]:
     """Yield homomorphisms ``source → target`` through the compiled runtime.
 
@@ -217,21 +204,14 @@ def iter_homomorphisms(
     occurring in the source atoms, and every source variable.  The index
     watermark is captured before the first solution is produced, so atoms
     added to *target* while the generator is being consumed are not seen
-    (the reference search snapshots its candidates the same way).
-
-    ``strategy`` selects the join executor: ``"auto"`` (worst-case-optimal
-    generic join on large cyclic bodies, hash join where the planner
-    predicts left-deep probing degrades, nested otherwise), ``"nested"``,
-    ``"hash"``, or ``"wcoj"``; ``None`` defers to the evaluation context's
-    :attr:`~repro.query.context.EvalContext.default_strategy`.
+    (the reference search snapshots its candidates the same way).  The
+    join executor is :func:`~repro.query.compile.choose_executor`'s pick.
     """
     atoms = tuple(_source_atoms(source))
     assignment = _initial_assignment(atoms, target, fix, frozen, atoms_key=atoms)
     if assignment is None:
         return
     resolved = get_context(context)
-    if strategy is None:
-        strategy = resolved.default_strategy
     index = resolved.index_for(target)
     hi = index.watermark()
     produced = 0
@@ -241,7 +221,6 @@ def iter_homomorphisms(
         assignment,
         hi,
         context=resolved,
-        strategy=strategy,
         first_only=limit == 1,
     ):
         yield solution
@@ -256,12 +235,9 @@ def all_homomorphisms(
     fix: Optional[Mapping[object, object]] = None,
     limit: Optional[int] = None,
     context: Optional[EvalContext] = None,
-    strategy: Optional[str] = None,
 ) -> Iterator[Assignment]:
     """Index-backed drop-in for :func:`repro.core.homomorphism.all_homomorphisms`."""
-    return iter_homomorphisms(
-        source, target, fix=fix, limit=limit, context=context, strategy=strategy
-    )
+    return iter_homomorphisms(source, target, fix=fix, limit=limit, context=context)
 
 
 def find_homomorphism(

@@ -24,10 +24,9 @@ Three modules:
   protocol, ``fix``/frozen/rigid semantics, laziness and delta seed-window
   surface as the nested and hash executors.
 
-Select it with ``strategy="wcoj"`` anywhere a strategy is accepted
-(:func:`repro.query.compile.execute`, the evaluator API, the chase engine's
-``match_strategy``); ``strategy="auto"`` upgrades to it on cyclic bodies
-over large enough posting lists.
+No caller selects it by name: :func:`repro.query.compile.choose_executor`
+picks it for cyclic bodies over large enough posting lists, on the query
+path and in the chase engine's delta discovery alike.
 """
 
 from .executor import execute_wcoj

@@ -3,9 +3,9 @@
 :func:`execute_wcoj` is the third executor of the compiled query runtime,
 sharing the :class:`~repro.query.compile.CompiledQuery` form, the register
 protocol and the stamp-window semantics of ``execute_nested`` /
-``execute_hash`` — it is selected via ``strategy="wcoj"`` (or ``"auto"`` on
-cyclic bodies, see :func:`repro.query.compile.execute`) and plugs into the
-same call sites, delta trigger discovery included.
+``execute_hash`` — :func:`repro.query.compile.choose_executor` picks it for
+large cyclic bodies, and it plugs into the same call sites, delta trigger
+discovery included.
 
 Instead of joining atoms pairwise, it resolves **one variable per level** of
 the global order chosen by :mod:`~repro.query.wcoj.order`: the candidate

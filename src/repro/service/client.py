@@ -178,15 +178,12 @@ class ServiceClient:
         name: Optional[str] = None,
         *,
         max_atoms: Optional[int] = None,
-        default_strategy: Optional[str] = None,
     ) -> dict:
         payload: Dict[str, object] = {}
         if name is not None:
             payload["name"] = name
         if max_atoms is not None:
             payload["max_atoms"] = max_atoms
-        if default_strategy is not None:
-            payload["default_strategy"] = default_strategy
         return self.request("POST", "/sessions", payload)
 
     def show_session(self, session_id: str) -> dict:
@@ -231,13 +228,12 @@ class ServiceClient:
             {"structure": structure, "query": query},
         )
 
-    def explain(
-        self, session_id: str, structure: str, query: str, strategy: Optional[str] = None
-    ) -> dict:
-        payload: Dict[str, object] = {"structure": structure, "query": query}
-        if strategy is not None:
-            payload["strategy"] = strategy
-        return self.request("POST", f"/sessions/{session_id}/explain", payload)
+    def explain(self, session_id: str, structure: str, query: str) -> dict:
+        return self.request(
+            "POST",
+            f"/sessions/{session_id}/explain",
+            {"structure": structure, "query": query},
+        )
 
     def containment(self, session_id: str, contained: str, container: str) -> dict:
         return self.request(

@@ -14,7 +14,7 @@ Routes (request/response bodies are JSON unless noted)::
     GET    /server/trace                  trace ring as JSON lines
     GET    /server/access-log             structured access-log entries
     GET    /sessions                      list sessions
-    POST   /sessions                      {name?, max_atoms?, default_strategy?}
+    POST   /sessions                      {name?, max_atoms?}
     GET    /sessions/<id>                 session detail (accounting + metrics)
     DELETE /sessions/<id>                 evict: forget indexes, close pools
     POST   /sessions/<id>/structures      {name, facts}
@@ -23,9 +23,13 @@ Routes (request/response bodies are JSON unless noted)::
     POST   /sessions/<id>/structures/<n>/extend   {facts}
     POST   /sessions/<id>/chase           {structure, rules, workers?, ...}
     POST   /sessions/<id>/query           {structure, query}
-    POST   /sessions/<id>/explain         {structure, query, strategy?}
+    POST   /sessions/<id>/explain         {structure, query}
     POST   /sessions/<id>/containment     {contained, container}
     POST   /sessions/<id>/determinacy     {views, query, max_stages?, max_atoms?}
+
+A JSON body may carry only the keys its route reads: any other key is a
+typed 400 naming it, so a misspelt or unsupported field fails loudly
+instead of being ignored.
 
 Failure semantics: typed library errors map onto HTTP statuses —
 parse/config errors (``ParseError``, ``TGDError``, ``QueryError``,
@@ -148,7 +152,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.repro_server.quiet:
             super().log_message(fmt, *args)
 
-    def _payload(self) -> Dict[str, object]:
+    def _payload(self, *keys: str) -> Dict[str, object]:
+        """The JSON body, which may hold only the route's *keys*."""
         length = int(self.headers.get("Content-Length") or 0)
         if length == 0:
             return {}
@@ -159,6 +164,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
+        unknown = sorted(set(payload) - set(keys))
+        if unknown:
+            raise BadRequestError(
+                f"unknown field(s) {', '.join(map(repr, unknown))}; "
+                f"this route reads {', '.join(keys)}"
+            )
         return payload
 
     def _reply(
@@ -329,11 +340,9 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, {"sessions": self.manager.list_sessions()}
 
     def create_session(self) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("name", "max_atoms")
         session = self.manager.create(
-            payload.get("name"),
-            max_atoms=payload.get("max_atoms"),
-            default_strategy=payload.get("default_strategy"),
+            payload.get("name"), max_atoms=payload.get("max_atoms")
         )
         return 201, session.describe()
 
@@ -351,14 +360,14 @@ class _Handler(BaseHTTPRequestHandler):
         return session
 
     def load_structure(self, session: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("name", "facts")
         target = self._session(session)
         return 201, target.load_structure(
             str(payload["name"]), str(payload.get("facts", ""))
         )
 
     def extend_structure(self, session: str, name: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("facts")
         target = self._session(session)
         return 200, target.load_structure(
             name, str(payload.get("facts", "")), extend=True
@@ -371,14 +380,16 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, self._session(session).drop_structure(name)
 
     def chase(self, session: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload(
+            "structure", "rules", "result_name", "workers", "strategy",
+            "max_stages", "max_atoms", "resilience",
+        )
         target = self._session(session)
         return 200, target.chase(
             str(payload["structure"]),
             list(payload.get("rules") or ()),
             result_name=payload.get("result_name"),
             workers=payload.get("workers", 0),
-            match_strategy=payload.get("match_strategy", "nested"),
             strategy=payload.get("strategy", "lazy"),
             max_stages=payload.get("max_stages"),
             max_atoms=payload.get("max_atoms"),
@@ -386,28 +397,24 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def query(self, session: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("structure", "query")
         target = self._session(session)
         return 200, target.query(str(payload["structure"]), str(payload["query"]))
 
     def explain(self, session: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("structure", "query")
         target = self._session(session)
-        return 200, target.explain(
-            str(payload["structure"]),
-            str(payload["query"]),
-            strategy=payload.get("strategy"),
-        )
+        return 200, target.explain(str(payload["structure"]), str(payload["query"]))
 
     def containment(self, session: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("contained", "container")
         target = self._session(session)
         return 200, target.containment(
             str(payload["contained"]), str(payload["container"])
         )
 
     def determinacy(self, session: str) -> Tuple[int, Dict[str, object]]:
-        payload = self._payload()
+        payload = self._payload("views", "query", "max_stages", "max_atoms")
         target = self._session(session)
         return 200, target.determinacy(
             list(payload.get("views") or ()),
@@ -437,7 +444,6 @@ class ReproServer:
         max_sessions: int = 16,
         idle_ttl: Optional[float] = None,
         session_max_atoms: int = 1_000_000,
-        default_strategy: str = "auto",
         sweep_interval: float = 1.0,
         quiet: bool = True,
         telemetry: bool = True,
@@ -450,7 +456,6 @@ class ReproServer:
             max_sessions=max_sessions,
             idle_ttl=idle_ttl,
             session_max_atoms=session_max_atoms,
-            default_strategy=default_strategy,
         )
         self.telemetry = ServiceTelemetry(
             enabled=telemetry,

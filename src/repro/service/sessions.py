@@ -30,6 +30,7 @@ them carries no isolation risk.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import uuid
@@ -175,6 +176,22 @@ def _resolve_resilience_spec(spec):
     )
 
 
+def _check_workers(workers) -> None:
+    """Raise :class:`BadRequestError` unless *workers* is a sane pool size.
+
+    Keep-alive engines cache their pools, so an unchecked count would fork
+    and keep that many processes: only plain non-negative integers up to
+    ``max(2, os.cpu_count())`` are accepted.
+    """
+    ceiling = max(2, os.cpu_count() or 1)
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise BadRequestError(f"workers must be an integer, not {workers!r}")
+    if not 0 <= workers <= ceiling:
+        raise BadRequestError(
+            f"workers must be between 0 and {ceiling}, not {workers}"
+        )
+
+
 class Session:
     """One tenant: a context, a metrics registry, structures, engines."""
 
@@ -186,7 +203,6 @@ class Session:
         *,
         max_atoms: int = 1_000_000,
         max_engines: int = 4,
-        default_strategy: str = "auto",
         clock=time.time,
     ) -> None:
         self.id = session_id
@@ -194,7 +210,7 @@ class Session:
         self.shapes = shapes
         self.max_atoms = max_atoms
         self.max_engines = max_engines
-        self.context = EvalContext(default_strategy)
+        self.context = EvalContext()
         self.metrics = MetricsRegistry()
         self.structures: Dict[str, Structure] = {}
         self._engines: "OrderedDict[tuple, SemiNaiveChaseEngine]" = OrderedDict()
@@ -374,12 +390,11 @@ class Session:
         rule_texts: Tuple[str, ...],
         tgds: Tuple[TGD, ...],
         workers: int,
-        match_strategy: str,
         strategy: str,
         resilience_spec,
     ) -> SemiNaiveChaseEngine:
         resilience, resilience_key = _resolve_resilience_spec(resilience_spec)
-        key = (rule_texts, workers, match_strategy, strategy, resilience_key)
+        key = (rule_texts, workers, strategy, resilience_key)
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
@@ -389,7 +404,6 @@ class Session:
             tgds=list(tgds),
             strategy=resolve_strategy(strategy),
             workers=workers,
-            match_strategy=match_strategy,
             resilience=resilience,
             context=self.context,
         )
@@ -409,7 +423,6 @@ class Session:
         *,
         result_name: Optional[str] = None,
         workers: int = 0,
-        match_strategy: str = "nested",
         strategy: str = "lazy",
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
@@ -422,6 +435,7 @@ class Session:
         """
         if not rules:
             raise BadRequestError("chase requires at least one rule")
+        _check_workers(workers)
         with self._locked():
             self._check_open()
             source = self._structure(structure)
@@ -436,7 +450,7 @@ class Session:
                     f"({len(source)} atoms) cannot fit a result"
                 )
             engine = self._engine_for(
-                tuple(rules), tgds, int(workers), match_strategy, strategy, resilience
+                tuple(rules), tgds, workers, strategy, resilience
             )
             engine.max_stages = max_stages
             engine.max_atoms = (
@@ -481,14 +495,12 @@ class Session:
                 "context": self.context.stats(),
             }
 
-    def explain(
-        self, structure: str, query_text: str, strategy: Optional[str] = None
-    ) -> Dict[str, object]:
+    def explain(self, structure: str, query_text: str) -> Dict[str, object]:
         with self._locked():
             self._check_open()
             target = self._structure(structure)
             cq = self.shapes.query(query_text)
-            text = explain_plan(target, cq, context=self.context, strategy=strategy)
+            text = explain_plan(target, cq, context=self.context)
             self.metrics.counter("service.explain.runs").inc()
             return {"structure": structure, "query": cq.name, "explain": text}
 
@@ -565,13 +577,11 @@ class SessionManager:
         max_sessions: int = 16,
         idle_ttl: Optional[float] = None,
         session_max_atoms: int = 1_000_000,
-        default_strategy: str = "auto",
         clock=time.time,
     ) -> None:
         self.max_sessions = max_sessions
         self.idle_ttl = idle_ttl
         self.session_max_atoms = session_max_atoms
-        self.default_strategy = default_strategy
         self.shapes = ShapeCache()
         self._sessions: Dict[str, Session] = {}
         self._lock = threading.RLock()
@@ -588,7 +598,6 @@ class SessionManager:
         name: Optional[str] = None,
         *,
         max_atoms: Optional[int] = None,
-        default_strategy: Optional[str] = None,
     ) -> Session:
         with self._lock:
             if len(self._sessions) >= self.max_sessions:
@@ -602,7 +611,6 @@ class SessionManager:
                 name or f"session-{self.created_total + 1}",
                 self.shapes,
                 max_atoms=max_atoms or self.session_max_atoms,
-                default_strategy=default_strategy or self.default_strategy,
                 clock=self._clock,
             )
             self._sessions[session_id] = session

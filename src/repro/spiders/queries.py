@@ -155,7 +155,6 @@ def spider_query_matches(
     prefix: str = "s",
     limit: Optional[int] = None,
     context=None,
-    strategy: Optional[str] = None,
 ) -> Iterator[Dict[object, object]]:
     """Matches of the body of ``f^I_J`` in *structure*, planned and indexed.
 
@@ -169,7 +168,7 @@ def spider_query_matches(
     """
     body = unary_query_body(universe, spec, prefix=prefix)
     return iter_homomorphisms(
-        list(body.atoms), structure, limit=limit, context=context, strategy=strategy
+        list(body.atoms), structure, limit=limit, context=context
     )
 
 

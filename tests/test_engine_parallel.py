@@ -350,14 +350,19 @@ def test_keep_alive_pool_is_rebuilt_when_the_rule_set_changes():
 
 def test_engine_rejects_unknown_match_strategy_up_front():
     tgds = parse_tgds("R(x,y) -> S(y,x)")
-    # An instance whose delta seeds nothing: lazy validation would let the
-    # typo slip through entirely (and workers=2 would surface it as a
-    # pool-poisoning WorkerError instead).
-    instance = structure_from_text("P(a)")
+    # The compatibility argument accepts only None / "auto" and fails at
+    # construction, before any pool exists.
     for workers in (0, 2):
         with pytest.raises(ValueError, match="wcjo"):
-            run_chase(tgds, instance, 5, 100, workers=workers,
-                      match_strategy="wcjo")
+            SemiNaiveChaseEngine(tgds, workers=workers, match_strategy="wcjo")
+        for accepted in (None, "auto"):
+            with SemiNaiveChaseEngine(
+                tgds, workers=workers, match_strategy=accepted
+            ) as engine:
+                result = engine.run(structure_from_text("R(a,b)"))
+            assert result.structure.atoms() == structure_from_text(
+                "R(a,b), S(b,a)"
+            ).atoms()
 
 
 @shm_only

@@ -288,8 +288,6 @@ def test_make_engine_resolves_names_and_instances():
     [
         pytest.param({"strategy": "oblivious"}, "firing strategies", id="strategy"),
         pytest.param({"workers": 2}, "parallel discovery", id="workers"),
-        pytest.param({"match_strategy": "hash"}, "match strategies", id="hash"),
-        pytest.param({"match_strategy": "wcoj"}, "match strategies", id="wcoj"),
         pytest.param(
             {"resilience": ResilienceConfig()}, "resilience supervision",
             id="resilience",
@@ -307,7 +305,6 @@ def test_reference_engine_rejects_semi_naive_options(route, option, message):
         {"workers": 0},
         {"workers": 1},
         {"resilience": False},
-        {"match_strategy": "nested"},
     ):
         assert type(make_engine(engine, tgds, **accepted)) is ChaseEngine
 

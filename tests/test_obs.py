@@ -38,6 +38,8 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_cli
 from repro.query.context import EvalContext
 
+from executors import pinned_executor
+
 TC_RULES = ("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
 
 
@@ -475,9 +477,9 @@ def test_explain_cyclic_body_upgrades_to_wcoj():
     target = Structure(atoms)
     context = EvalContext()
     text = obs.explain(target, TRIANGLE, context=context)
-    assert "strategy: auto -> executor: wcoj" in text
+    assert "executor: wcoj" in text
     assert "body is cyclic" in text
-    assert "auto upgrades to the generic join" in text
+    assert "upgrades to the generic join" in text
     assert "wcoj variable order" in text
     assert "x(2) -> y(2) -> z(2)" in text
     # A second explain hits the plan cache it just warmed.
@@ -489,15 +491,19 @@ def test_explain_acyclic_body_stays_on_binary_joins():
     target = structure_from_text("R(0,1), R(1,2), R(2,3)")
     path = [Atom("R", (X, Y)), Atom("R", (Y, Z))]
     text = obs.explain(target, path, context=EvalContext())
-    assert "strategy: auto -> executor: nested" in text
+    assert "executor: nested" in text
     assert "body is acyclic" in text
     assert "plan (most-constrained-first join order):" in text
     assert "window=all" in text
 
 
-def test_explain_accepts_tgd_bodies_and_explicit_strategy():
+def test_explain_accepts_tgd_bodies_and_reports_a_pinned_executor():
     tgd = parse_tgds("R(x,y), R(y,z) -> S(x,z)")[0]
     target = structure_from_text("R(0,1), R(1,2)")
-    text = obs.explain(target, tgd, context=EvalContext(), strategy="hash")
-    assert "strategy: hash -> executor: hash" in text
+    text = obs.explain(target, tgd, context=EvalContext())
+    assert "executor: nested" in text
     assert "2 atoms over 2 atoms" in text
+    # explain asks the same policy evaluation does, so a pin shows up.
+    with pinned_executor("hash"):
+        text = obs.explain(target, tgd, context=EvalContext())
+    assert "executor: hash" in text

@@ -26,6 +26,8 @@ from repro.spiders.ideal import IdealSpider, SpiderUniverse
 from repro.spiders.queries import spider_query_matches, unary_query_body
 from repro.greenred.coloring import Color
 
+from executors import pinned_executor
+
 
 # ----------------------------------------------------------------------
 # Strategies: random structures and CQ bodies over a small vocabulary
@@ -234,8 +236,10 @@ def test_both_executors_match_reference_on_cyclic_cqs(atoms, target):
     # graph, so the classifier must flag every generated body.
     assert q.is_cyclic(atoms)
     reference = canonical(HomomorphismProblem(atoms, target).solutions())
-    nested = canonical(q.all_homomorphisms(atoms, target, strategy="nested"))
-    hashed = canonical(q.all_homomorphisms(atoms, target, strategy="hash"))
+    with pinned_executor("nested"):
+        nested = canonical(q.all_homomorphisms(atoms, target))
+    with pinned_executor("hash"):
+        hashed = canonical(q.all_homomorphisms(atoms, target))
     assert nested == reference
     assert hashed == reference
 
@@ -244,7 +248,8 @@ def test_both_executors_match_reference_on_cyclic_cqs(atoms, target):
 @settings(max_examples=60, deadline=None)
 def test_hash_join_matches_reference_with_fix(atoms, target, fix):
     reference = canonical(HomomorphismProblem(atoms, target, fix=fix).solutions())
-    hashed = canonical(q.all_homomorphisms(atoms, target, fix=fix, strategy="hash"))
+    with pinned_executor("hash"):
+        hashed = canonical(q.all_homomorphisms(atoms, target, fix=fix))
     assert hashed == reference
 
 
@@ -260,6 +265,9 @@ def test_auto_strategy_picks_hash_join_for_triangles():
     index = context.index_for(target)
     compiled = q.compiled_for(index, triangle, frozenset(), context=context)
     assert compiled.hash_recommended
+    assert q.choose_executor(compiled) is q.execute_hash
+    # A caller after the first solution only keeps the lazy nested descent.
+    assert q.choose_executor(compiled, first_only=True) is q.execute_nested
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +344,9 @@ def test_hash_executor_build_tables_are_cached_per_snapshot():
     assert id(compiled._hash_state) != state_id
     # Full-window evaluation after growth sees the new atom's consequences.
     reference = canonical(HomomorphismProblem(list(triangle), target).solutions())
-    assert canonical(q.all_homomorphisms(list(triangle), target, strategy="hash", context=context)) == reference
+    with pinned_executor("hash"):
+        grown = canonical(q.all_homomorphisms(list(triangle), target, context=context))
+    assert grown == reference
 
 
 def test_hash_executor_state_does_not_survive_watermark_preserving_rebuild():

@@ -228,6 +228,79 @@ def test_http_error_mapping(server, client):
     assert exc.value.status == 400  # chase with no rules
 
 
+def test_chase_rejects_bad_worker_counts_before_any_engine(server, client):
+    before = _repro_segments()
+    sid = client.create_session()["id"]
+    client.load(sid, "db", "R(a,b)")
+    ceiling = max(2, os.cpu_count() or 1)
+    for workers in (True, "2", 2.0, None, -1, ceiling + 1, 100_000):
+        with pytest.raises(ServiceAPIError) as exc:
+            client.request(
+                "POST", f"/sessions/{sid}/chase",
+                {"structure": "db", "rules": [RULE], "workers": workers},
+            )
+        assert (exc.value.status, exc.value.error_type) == (
+            400, "BadRequestError"
+        ), workers
+        assert "workers" in str(exc.value)
+    session = server.manager.get(sid)
+    assert not session._engines, "an engine was built for a refused chase"
+    assert multiprocessing.active_children() == []
+    assert _repro_segments() <= before
+    # The bounds themselves stay accepted.
+    assert client.chase(sid, "db", [RULE], workers=0)["atoms"] == 2
+
+
+#: ``(route name, path with {session}, one valid body)`` per JSON route.  The
+#: first five bodies are the shapes the repository benchmark's client sends.
+_ROUTE_BODIES = [
+    ("create_session", "/sessions", {"name": "s"}),
+    ("load", "/sessions/{session}/structures", {"name": "db", "facts": "R(a,b)"}),
+    ("extend", "/sessions/{session}/structures/db/extend", {"facts": "R(b,c)"}),
+    ("chase", "/sessions/{session}/chase", {"structure": "db", "rules": [RULE]}),
+    ("query", "/sessions/{session}/query", {"structure": "db", "query": QUERY}),
+    ("explain", "/sessions/{session}/explain", {"structure": "db", "query": QUERY}),
+    (
+        "containment",
+        "/sessions/{session}/containment",
+        {"contained": QUERY, "container": QUERY},
+    ),
+    (
+        "determinacy",
+        "/sessions/{session}/determinacy",
+        {"views": [QUERY], "query": QUERY},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "route, body, extra",
+    [
+        pytest.param(route, body, {"bogus": 1}, id=name)
+        for name, route, body in _ROUTE_BODIES
+    ]
+    + [
+        # Executor selection is no longer a request field anywhere.
+        pytest.param(route, body, {key: "wcoj"}, id=f"{name}-{key}")
+        for (name, route, body), key in zip(
+            (_ROUTE_BODIES[0], _ROUTE_BODIES[3], _ROUTE_BODIES[5]),
+            ("default_strategy", "match_strategy", "strategy"),
+        )
+    ],
+)
+def test_json_routes_reject_unknown_keys(server, client, route, body, extra):
+    sid = client.create_session()["id"]
+    client.load(sid, "db", "R(a,b)")
+    path = route.format(session=sid)
+    with pytest.raises(ServiceAPIError) as exc:
+        client.request("POST", path, {**body, **extra})
+    assert (exc.value.status, exc.value.error_type) == (400, "BadRequestError")
+    for key in extra:
+        assert repr(key) in str(exc.value)
+    # The same body without the stray key is served.
+    assert client.request("POST", path, body) is not None
+
+
 def test_malformed_json_body_is_400(server):
     import http.client
 

@@ -1,9 +1,10 @@
 """Differential and cache tests for the worst-case-optimal executor.
 
-The contract under test: ``strategy="wcoj"`` —
-:func:`repro.query.wcoj.execute_wcoj` behind the shared compiled-runtime
-surface — produces **bit-identical answer sets** to the ``nested`` and
-``hash`` executors and to the authoritative
+The contract under test: :func:`repro.query.wcoj.execute_wcoj` behind the
+shared compiled-runtime surface — pinned by replacing the selection policy
+(see ``executors.py``) — produces **bit-identical answer sets** to the
+``nested`` and ``hash`` executors, to the unpinned policy and to the
+authoritative
 :class:`~repro.core.homomorphism.HomomorphismProblem` oracle, on random
 cyclic CQs, the spider corpus, fix/frozen/rigid/repeated-variable bodies
 and the engine's delta seed-window discipline (serial and ``workers=2``);
@@ -21,14 +22,12 @@ from repro.core.homomorphism import HomomorphismProblem
 from repro.core.structure import Structure
 from repro.core.terms import Constant, Variable
 from repro.engine import AtomIndex, run_chase
-from repro.engine.delta import compiled_delta_matches, select_delta_executor
+from repro.engine.delta import compiled_delta_matches
 from repro.greenred.coloring import Color, dalt_structure
 from repro.query import (
     EvalContext,
-    all_homomorphisms,
+    choose_executor,
     compiled_for,
-    execute,
-    execute_hash,
     execute_nested,
     execute_wcoj,
     iter_homomorphisms,
@@ -40,8 +39,7 @@ from repro.spiders.queries import spider_query_matches, unary_query_body
 from repro.spiders.algebra import SpiderQuerySpec
 
 from delta_oracle import reference_delta_matches
-
-STRATEGIES = ("nested", "hash", "wcoj")
+from executors import EXECUTORS, pinned_executor
 
 
 def canonical(assignments):
@@ -57,18 +55,19 @@ def assert_all_strategies_match_oracle(body, target, fix=None, frozen=()):
         .solutions()
     )
     context = EvalContext()
-    for strategy in STRATEGIES + ("auto",):
-        got = canonical(
+
+    def solutions():
+        return canonical(
             iter_homomorphisms(
-                list(body),
-                target,
-                fix=dict(fix or {}),
-                frozen=frozen,
+                list(body), target, fix=dict(fix or {}), frozen=frozen,
                 context=context,
-                strategy=strategy,
             )
         )
-        assert got == oracle, f"strategy={strategy}"
+
+    assert solutions() == oracle, "policy"
+    for name in EXECUTORS:
+        with pinned_executor(name):
+            assert solutions() == oracle, f"executor={name}"
     return oracle
 
 
@@ -157,52 +156,32 @@ def test_spider_corpus_differential():
     oracle = canonical(
         HomomorphismProblem(list(body.atoms), corpus).solutions()
     )
-    for strategy in STRATEGIES:
-        context = EvalContext(default_strategy=strategy)
-        got = canonical(spider_query_matches(universe, spec, corpus, context=context))
-        assert got == oracle, f"strategy={strategy}"
+    for name in EXECUTORS:
+        with pinned_executor(name):
+            got = canonical(
+                spider_query_matches(universe, spec, corpus, context=EvalContext())
+            )
+        assert got == oracle, f"executor={name}"
 
 
 def test_empty_and_unsatisfiable_bodies():
     target = Structure([Atom("R", ("a", "b"))])
     context = EvalContext()
     x, y, z = (Variable(n) for n in "xyz")
-    assert list(iter_homomorphisms([], target, context=context, strategy="wcoj")) == [{}]
     triangle = [Atom("R", (x, y)), Atom("R", (y, z)), Atom("R", (z, x))]
-    assert (
-        list(iter_homomorphisms(triangle, target, context=context, strategy="wcoj"))
-        == []
-    )
-    # A predicate the index has never seen.
-    assert (
-        list(
-            iter_homomorphisms([Atom("S", (x, y))], target, context=context,
-                               strategy="wcoj")
+    with pinned_executor("wcoj"):
+        assert list(iter_homomorphisms([], target, context=context)) == [{}]
+        assert list(iter_homomorphisms(triangle, target, context=context)) == []
+        # A predicate the index has never seen.
+        assert (
+            list(iter_homomorphisms([Atom("S", (x, y))], target, context=context))
+            == []
         )
-        == []
-    )
 
 
 # ----------------------------------------------------------------------
-# Strategy dispatch and auto-selection
+# Executor selection
 # ----------------------------------------------------------------------
-def test_unknown_strategy_is_rejected_before_dispatch():
-    rng = random.Random(3)
-    target = random_graph(rng, 40, 300)
-    context = EvalContext()
-    index = context.index_for(target)
-    x, y, z = (Variable(n) for n in "xyz")
-    triangle = (Atom("R", (x, y)), Atom("R", (y, z)), Atom("R", (z, x)))
-    compiled = compiled_for(index, triangle, frozenset())
-    # The shape recommends the hash join, but an unknown name must fail the
-    # validation *before* any executor branch is considered — and the error
-    # must advertise the full strategy surface, wcoj included.
-    assert compiled.hash_recommended
-    with pytest.raises(ValueError, match="wcoj"):
-        execute(compiled, index, compiled.fresh_registers(), strategy="hsah")
-    with pytest.raises(ValueError, match="nested"):
-        list(iter_homomorphisms(list(triangle), target, context=context,
-                                strategy="bogus"))
 
 
 def test_auto_upgrades_large_cyclic_bodies_to_wcoj():
@@ -226,29 +205,14 @@ def test_auto_upgrades_large_cyclic_bodies_to_wcoj():
     assert not compiled.cyclic and not compiled.wcoj_recommended
 
 
-def test_context_default_strategy_is_threaded_through():
-    rng = random.Random(6)
-    target = random_graph(rng, 20, 80)
-    x, y, z = (Variable(n) for n in "xyz")
-    triangle = [Atom("R", (x, y)), Atom("R", (y, z)), Atom("R", (z, x))]
-    oracle = canonical(HomomorphismProblem(triangle, target).solutions())
-    context = EvalContext(default_strategy="wcoj")
-    got = canonical(all_homomorphisms(triangle, target, context=context))
-    assert got == oracle
-    # The wcoj trie cache was actually exercised (not a silent fallback).
-    index = context.index_for(target)
-    assert index.trie_cache is not None and index.trie_cache.builds > 0
-
-
 # ----------------------------------------------------------------------
 # Trie cache: growth extension, rebuild invalidation, snapshot safety
 # ----------------------------------------------------------------------
-def _triangle_solutions(context, target, strategy="wcoj"):
+def _triangle_solutions(context, target):
     x, y, z = (Variable(n) for n in "xyz")
     triangle = [Atom("R", (x, y)), Atom("R", (y, z)), Atom("R", (z, x))]
-    return canonical(
-        iter_homomorphisms(triangle, target, context=context, strategy=strategy)
-    )
+    with pinned_executor("wcoj"):
+        return canonical(iter_homomorphisms(triangle, target, context=context))
 
 
 def test_trie_cache_extends_on_growth_and_invalidates_on_rebuild():
@@ -298,10 +262,11 @@ def test_suspended_wcoj_generator_survives_growth():
     x, y, z = (Variable(n) for n in "xyz")
     triangle = [Atom("R", (x, y)), Atom("R", (y, z)), Atom("R", (z, x))]
     expected = canonical(HomomorphismProblem(triangle, target).solutions())
-    suspended = iter_homomorphisms(triangle, target, context=context,
-                                   strategy="wcoj")
+    suspended = iter_homomorphisms(triangle, target, context=context)
     collected = []
-    first = next(suspended, None)
+    with pinned_executor("wcoj"):
+        # The executor is chosen when the generator first runs.
+        first = next(suspended, None)
     if first is not None:
         collected.append(dict(first))
     # Grow the structure (extends the cached tries under a new snapshot key)
@@ -332,44 +297,44 @@ def test_wcoj_matches_nested_on_delta_seed_windows():
         reference = canonical(
             reference_delta_matches(tgd, index, delta_lo, stage_start)
         )
-        for strategy in ("nested", "hash", "wcoj", "auto"):
-            got = canonical(
-                compiled_delta_matches(
-                    tgd, index, delta_lo, stage_start, strategy=strategy
+        got = canonical(compiled_delta_matches(tgd, index, delta_lo, stage_start))
+        assert got == reference, f"{tgd.name} policy"
+        for name in EXECUTORS:
+            with pinned_executor(name):
+                got = canonical(
+                    compiled_delta_matches(tgd, index, delta_lo, stage_start)
                 )
-            )
-            assert got == reference, f"{tgd.name} strategy={strategy}"
+            assert got == reference, f"{tgd.name} executor={name}"
         # Seed sub-windows partition the match set under wcoj exactly as
         # they do under nested (the parallel pool's splitting invariant).
         mid = (delta_lo + stage_start) // 2
-        left = canonical(
-            compiled_delta_matches(tgd, index, delta_lo, stage_start,
-                                   seed_window=(delta_lo, mid), strategy="wcoj")
-        )
-        right = canonical(
-            compiled_delta_matches(tgd, index, delta_lo, stage_start,
-                                   seed_window=(mid, stage_start), strategy="wcoj")
-        )
+        with pinned_executor("wcoj"):
+            left = canonical(
+                compiled_delta_matches(tgd, index, delta_lo, stage_start,
+                                       seed_window=(delta_lo, mid))
+            )
+            right = canonical(
+                compiled_delta_matches(tgd, index, delta_lo, stage_start,
+                                       seed_window=(mid, stage_start))
+            )
         assert left | right == reference
         assert not (left & right)
 
 
-def test_select_delta_executor_dispatch():
+def test_choose_executor_on_seeded_delta_bodies():
     rng = random.Random(15)
     target = random_graph(rng, 40, 300)
     index = AtomIndex(target)
     x, y, z = (Variable(n) for n in "xyz")
     triangle = (Atom("R", (x, y)), Atom("R", (y, z)), Atom("R", (z, x)))
     compiled = compiled_for(index, triangle, frozenset(), seed=0)
-    assert select_delta_executor(compiled, "nested") is execute_nested
-    assert select_delta_executor(compiled, "hash") is execute_hash
-    assert select_delta_executor(compiled, "wcoj") is execute_wcoj
-    assert select_delta_executor(compiled, "auto") is execute_wcoj
+    # Seeded compilations never recommend the hash join: large cyclic ones
+    # go to the generic join, everything else stays nested.
+    assert not compiled.hash_recommended
+    assert choose_executor(compiled) is execute_wcoj
     path = (Atom("R", (x, y)), Atom("R", (y, z)))
     acyclic = compiled_for(index, path, frozenset(), seed=0)
-    assert select_delta_executor(acyclic, "auto") is execute_nested
-    with pytest.raises(ValueError, match="wcoj"):
-        select_delta_executor(compiled, "leapfrog")
+    assert choose_executor(acyclic) is execute_nested
 
 
 # ----------------------------------------------------------------------
@@ -406,22 +371,31 @@ def assert_chase_bits_equal(expected, produced, label):
 def test_chase_is_bit_identical_under_wcoj_matching(seed):
     tgds, instance = _cyclic_rules_and_instance(seed)
     reference = chase(tgds, instance, 3, 400)
-    for match_strategy in ("wcoj", "auto"):
-        produced = run_chase(
-            tgds, instance, 3, 400, match_strategy=match_strategy
-        )
-        assert_chase_bits_equal(
-            reference, produced, f"match_strategy={match_strategy} seed={seed}"
-        )
+    assert_chase_bits_equal(
+        reference, run_chase(tgds, instance, 3, 400), f"policy seed={seed}"
+    )
+    with pinned_executor("wcoj"):
+        produced = run_chase(tgds, instance, 3, 400)
+    assert_chase_bits_equal(reference, produced, f"wcoj seed={seed}")
 
 
 def test_chase_is_bit_identical_under_wcoj_with_workers():
     tgds, instance = _cyclic_rules_and_instance(99)
     reference = chase(tgds, instance, 3, 400)
-    produced = run_chase(
-        tgds, instance, 3, 400, workers=2, match_strategy="wcoj"
-    )
+    with pinned_executor("wcoj"):  # before the pool forks
+        produced = run_chase(tgds, instance, 3, 400, workers=2)
     assert_chase_bits_equal(reference, produced, "workers=2 wcoj")
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+@pytest.mark.parametrize("name", sorted(EXECUTORS))
+def test_chase_is_bit_identical_under_every_pinned_executor(name, workers):
+    """Engine discovery on each executor, serial and on a pool."""
+    tgds, instance = _cyclic_rules_and_instance(7)
+    reference = chase(tgds, instance, 3, 400)
+    with pinned_executor(name):
+        produced = run_chase(tgds, instance, 3, 400, workers=workers)
+    assert_chase_bits_equal(reference, produced, f"{name} workers={workers}")
 
 
 def test_wcoj_state_does_not_survive_watermark_preserving_rebuild():
@@ -462,9 +436,3 @@ def test_wcoj_state_does_not_survive_watermark_preserving_rebuild():
         == 1
     )
 
-
-def test_eval_context_rejects_unknown_default_strategy():
-    with pytest.raises(ValueError, match="wcoj"):
-        EvalContext(default_strategy="wcjo")
-    for name in ("auto", "nested", "hash", "wcoj"):
-        assert EvalContext(default_strategy=name).default_strategy == name
