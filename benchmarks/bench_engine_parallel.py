@@ -27,8 +27,9 @@ merge/decode tail stays small.  Three things are asserted:
   segments, only watermarks/directories/symbol suffixes cross the pipe.
 
 The pool is driven the way the engine drives it, through a
-:class:`~repro.engine.resilience.SupervisedDiscovery` — here with zero
-retries and no serial fallback, so a worker fault fails the benchmark.
+:class:`~repro.engine.resilience.SupervisedDiscovery`, whose fault ledger
+must read zero after every config: a faulted pool finishes serially, and a
+degraded pool must never be timed as "parallel".
 
 The last config (~200k atoms) sizes the columnar store: its row records
 ``peak_rss_kb`` so the trajectory catches memory regressions, not just
@@ -42,12 +43,7 @@ import pickle
 import pytest
 
 from repro.core.atoms import Atom
-from repro.engine import (
-    AtomIndex,
-    ParallelDiscovery,
-    ResilienceConfig,
-    SupervisedDiscovery,
-)
+from repro.engine import AtomIndex, ParallelDiscovery, SupervisedDiscovery
 from repro.engine.delta import compiled_delta_matches
 from repro.engine.shm import SHM_AVAILABLE, SharedColumnStore
 from repro.obs import CLOCK, peak_rss_kb
@@ -74,9 +70,6 @@ MIN_SPEEDUP = 1.5
 #: Per-stage bytes ratio (appended column bytes / pickled shm control
 #: message).
 MIN_SHIPPED_REDUCTION = 10.0
-
-#: Zero retries and no serial fallback: a worker fault fails the run.
-STRICT = ResilienceConfig(max_retries=0, serial_fallback=False)
 
 
 def _best_of(reps, thunk):
@@ -178,11 +171,15 @@ def test_parallel_discovery_trajectory(
     # path to time.
     for workers in worker_counts if SHM_AVAILABLE else ():
         with ParallelDiscovery(tgds, workers=workers) as pool:
-            discovery = SupervisedDiscovery(pool, STRICT, tgds)
+            discovery = SupervisedDiscovery(pool, tgds)
             discovery.discover(index, 0, stage_start)  # warm sync + plans
             parallel_seconds, parallel = _best_of(
                 reps, lambda: discovery.discover(index, 0, stage_start)
             )
+        # A fault would have finished the timed reps serially: fail instead
+        # of reporting a serial time as a parallel one.
+        counts = discovery.counts
+        assert counts["detected"] == counts["degraded"] == 0, counts
         # Divergence is a correctness failure wherever the benchmark runs:
         # the parallel candidate multisets must equal the serial ones per TGD.
         assert len(parallel) == len(serial)

@@ -12,7 +12,13 @@ fails on any difference:
             python benchmarks/fig1_determinism.py > fig1-$seed.txt
     done
     diff fig1-0.txt fig1-1.txt && diff fig1-0.txt fig1-2.txt
+
+A faulted pool finishes the run serially with the same output, which would
+pass the diff without exercising the pool at all, so the probe exits
+non-zero on any fault.
 """
+
+import sys
 
 from repro.core.terms import LabeledNull
 from repro.engine import run_chase
@@ -23,7 +29,7 @@ from repro.separating.t_infinity import t_infinity_rules
 STAGES = 40
 
 
-def main() -> None:
+def main() -> int:
     result = run_chase(
         t_infinity_rules().tgds(),
         initial_graph().structure(),
@@ -51,7 +57,12 @@ def main() -> None:
             [repr(atom) for atom in step.new_atoms],
             [repr(element) for element in step.new_elements],
         )
+    faults = result.stats.faults
+    if faults.get("detected", 0) or faults.get("degraded", 0):
+        print(f"parallel discovery faulted: {faults}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

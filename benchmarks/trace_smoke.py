@@ -21,11 +21,11 @@ small, and the parallel result must be atom-for-atom identical to the
 serial one.
 
 A third traced run arms the fault injector (one worker crash mid-stage)
-under supervision and audits the fault ledger: the run must stay
-bit-identical to serial, and the ``parallel.fault.*`` / ``parallel.retry``
-/ ``parallel.degrade`` event counts folded out of the trace must equal the
-``ChaseRunStats.faults`` ledger — the two accountings are incremented by
-the same code paths and must never drift.
+and audits the fault ledger: the run must finish serially, bit-identical to
+serial, and the ``parallel.fault.*`` / ``parallel.degrade`` event counts
+folded out of the trace must equal the ``ChaseRunStats.faults`` ledger —
+the two accountings are incremented by the same code paths and must never
+drift.
 """
 
 import os
@@ -33,7 +33,7 @@ import sys
 
 from repro.chase import parse_tgds
 from repro.core.builders import structure_from_text
-from repro.engine import ResilienceConfig, run_chase
+from repro.engine import run_chase
 from repro.engine.shm import SHM_AVAILABLE
 from repro.testing.faults import Fault, FaultPlan, clear_fault_plan, install_fault_plan
 from repro.obs import (
@@ -138,8 +138,7 @@ def _audit_faulted(trace_path: str, serial_result):
     enable_tracing(trace_path)
     try:
         result = run_chase(
-            tgds, instance, 200, 500_000, workers=2,
-            resilience=ResilienceConfig(stage_deadline=10.0, max_retries=2),
+            tgds, instance, 200, 500_000, workers=2, stage_deadline=10.0
         )
     finally:
         disable_tracing()
@@ -154,6 +153,7 @@ def _audit_faulted(trace_path: str, serial_result):
         "faulted trace well-formed": (summary.malformed, 0),
         "fault injected": (result.stats.faults.get("injected", 0), 1),
         "fault detected": (result.stats.faults.get("detected", 0), 1),
+        "run finished serially": (result.stats.faults.get("degraded", 0), 1),
         # The reconciliation claim itself: trace events == run-stats ledger.
         "trace ledger == stats ledger": (summary.faults, result.stats.faults),
     }

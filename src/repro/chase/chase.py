@@ -43,12 +43,12 @@ from .trigger import (
 class ChaseExecutionError(RuntimeError):
     """A chase run could not complete for an *operational* reason.
 
-    The typed failure of the execution substrate — worker processes dying,
-    replicas desyncing, deadlines expiring with recovery disabled — as
-    opposed to the *semantic* :class:`ChaseBudgetExceeded`.  The contract of
-    the fault-tolerant parallel engine (:mod:`repro.engine.resilience`) is
-    that every run either completes bit-identical to a serial run or raises
-    a ``ChaseExecutionError`` subclass, never a bare transport exception.
+    The typed failure of the execution substrate, as opposed to the
+    *semantic* :class:`ChaseBudgetExceeded`.  The parallel engine's
+    :class:`~repro.engine.parallel.WorkerError` (a failed shared-memory
+    sync) is one; its supervisor (:mod:`repro.engine.resilience`) answers
+    every worker fault by finishing the run serially, bit-identical to a
+    serial run, so no bare transport exception ever escapes a chase.
     """
 
 

@@ -202,17 +202,6 @@ def cmd_load(args) -> int:
     return 0
 
 
-def _resilience_from_args(args):
-    if args.strict:
-        return False
-    spec = {}
-    if args.deadline is not None:
-        spec["stage_deadline"] = args.deadline
-    if args.retries is not None:
-        spec["max_retries"] = args.retries
-    return spec or None
-
-
 def cmd_chase_run(args) -> int:
     rules: List[str] = list(args.rule or [])
     if args.rules_file:
@@ -233,7 +222,6 @@ def cmd_chase_run(args) -> int:
             strategy=args.strategy,
             max_stages=args.max_stages,
             max_atoms=args.max_atoms,
-            resilience=_resilience_from_args(args),
         )
     stats = result.get("stats") or {}
     _print(render_table(
@@ -525,12 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("lazy", "oblivious", "semi-oblivious"))
     p.add_argument("--max-stages", type=int, default=None)
     p.add_argument("--max-atoms", type=int, default=None)
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-stage supervision deadline (seconds)")
-    p.add_argument("--retries", type=int, default=None,
-                   help="supervised re-dispatch attempts per stage")
-    p.add_argument("--strict", action="store_true",
-                   help="disable fault supervision (fail fast)")
     p.add_argument("--stages", action="store_true", help="print the per-stage table")
     p.set_defaults(func=cmd_chase_run)
 

@@ -20,8 +20,8 @@ Section VIII.E counter-model, the Theorem 1 reduction pipeline.  It contains
   (:mod:`~repro.engine.shm`), merging candidates back into canonical
   order — output stays bit-identical;
 * :mod:`~repro.engine.resilience` — the supervisor every pool runs under:
-  retry, respawn and serial fallback, or a typed ``WorkerError`` when
-  ``resilience=False``.
+  a worker fault closes the pool and the run finishes serially,
+  bit-identical.
 
 Heavy consumers select an engine through the shared ``engine=`` parameter
 (accepted by :func:`run_chase`, ``GreenGraphRuleSet.chase``,
@@ -42,12 +42,7 @@ from ..core.structure import Structure
 from .delta import compiled_delta_matches, head_satisfied_indexed
 from .indexes import AtomIndex
 from .parallel import ParallelDiscovery, WorkerError
-from .resilience import (
-    ResilienceConfig,
-    ResilienceConfigError,
-    SupervisedDiscovery,
-    resolve_resilience,
-)
+from .resilience import SupervisedDiscovery
 from .seminaive import SemiNaiveChaseEngine
 from .strategies import (
     FiringStrategy,
@@ -68,7 +63,7 @@ _SEMINAIVE_NAMES = frozenset({"seminaive", "semi-naive", "semi_naive", "delta"})
 _REFERENCE_NAMES = frozenset({"reference", "naive", "lazy-reference"})
 
 
-def _check_reference_options(strategy, workers, resilience, context):
+def _check_reference_options(strategy, workers, stage_deadline, context):
     """Reject the semi-naive-only options for the reference engine."""
     if strategy is not None:
         raise ValueError(
@@ -83,9 +78,9 @@ def _check_reference_options(strategy, workers, resilience, context):
             "parallel discovery is a semi-naive engine feature; "
             "the reference engine is strictly serial"
         )
-    if resilience not in (None, False):
+    if stage_deadline is not None:
         raise ValueError(
-            "resilience supervision is a semi-naive engine feature; "
+            "stage deadlines are a semi-naive engine feature; "
             "the reference engine has no worker pool to supervise"
         )
     if context is not None:
@@ -102,7 +97,7 @@ def make_engine(
     max_atoms: Optional[int] = None,
     strategy=None,
     workers: Optional[int] = None,
-    resilience=None,
+    stage_deadline: Optional[float] = None,
     context=None,
 ):
     """Resolve the shared ``engine=`` parameter into a ready-to-run engine.
@@ -117,14 +112,11 @@ def make_engine(
     ``workers=N`` (N ≥ 2) opts the semi-naive engine into parallel batch
     discovery (:mod:`repro.engine.parallel`); ``None`` keeps the instance's
     own setting, and the reference engine rejects it.
-    ``resilience`` tunes the parallel pool's fault tolerance
-    (:mod:`repro.engine.resilience`): ``None`` keeps the instance's setting
-    (supervised defaults for fresh engines), ``False`` means zero retries
-    and no serial fallback (the first worker fault raises ``WorkerError``),
-    a :class:`~repro.engine.resilience.ResilienceConfig` sets
-    deadlines/retries/fallback; the reference engine — which has no pool —
-    accepts only ``None`` / ``False``.  ``context`` selects the
-    :class:`~repro.query.context.EvalContext` the run's index is donated to
+    ``stage_deadline`` bounds each parallel stage's gather in seconds, for
+    hang detection (:mod:`repro.engine.resilience`); ``None`` keeps the
+    instance's setting (no deadline for fresh engines), and the reference
+    engine — which has no pool — accepts only ``None``.  ``context`` selects
+    the :class:`~repro.query.context.EvalContext` the run's index is donated to
     (``None`` keeps the instance's own setting — the process-wide shared
     context for fresh engines); the reference engine — which maintains no
     index to hand off — accepts only ``None``.
@@ -133,7 +125,7 @@ def make_engine(
         engine = DEFAULT_ENGINE
     if isinstance(engine, (ChaseEngine, SemiNaiveChaseEngine)):
         if not isinstance(engine, SemiNaiveChaseEngine):
-            _check_reference_options(strategy, workers, resilience, context)
+            _check_reference_options(strategy, workers, stage_deadline, context)
             return replace(
                 engine,
                 tgds=list(tgds),
@@ -148,7 +140,9 @@ def make_engine(
             max_stages=min_bound(max_stages, engine.max_stages),
             max_atoms=min_bound(max_atoms, engine.max_atoms),
             workers=engine.workers if workers is None else workers,
-            resilience=engine.resilience if resilience is None else resilience,
+            stage_deadline=(
+                engine.stage_deadline if stage_deadline is None else stage_deadline
+            ),
             context=engine.context if context is None else context,
         )
     if isinstance(engine, str):
@@ -160,11 +154,11 @@ def make_engine(
                 max_atoms=max_atoms,
                 strategy=resolve_strategy(strategy),
                 workers=workers or 0,
-                resilience=resilience,
+                stage_deadline=stage_deadline,
                 context=context,
             )
         if name in _REFERENCE_NAMES:
-            _check_reference_options(strategy, workers, resilience, context)
+            _check_reference_options(strategy, workers, stage_deadline, context)
             return ChaseEngine(
                 tgds=list(tgds), max_stages=max_stages, max_atoms=max_atoms
             )
@@ -184,7 +178,7 @@ def run_chase(
     engine: EngineSpec = None,
     strategy=None,
     workers: Optional[int] = None,
-    resilience=None,
+    stage_deadline: Optional[float] = None,
     context=None,
 ) -> ChaseResult:
     """Run the (bounded) chase of *instance* under *tgds* on a chosen engine.
@@ -192,13 +186,12 @@ def run_chase(
     This is the engine-aware sibling of :func:`repro.chase.chase`; with
     ``engine="reference"`` the two are the same computation.  ``workers=N``
     (N ≥ 2) runs each stage's trigger discovery on a process pool — output
-    is bit-identical to the serial run.  ``resilience`` tunes the pool's
-    fault supervision (``False``: zero retries, no fallback) — see
-    :mod:`repro.engine.resilience`; recovery never changes output, only
-    whether a faulted run survives.  ``context``
-    selects the evaluation context the chased structure's index is donated
-    to (``None`` = the process-wide shared context) — per-session callers
-    pass their own so post-chase queries stay isolated.
+    is bit-identical to the serial run, and a worker fault only makes the
+    run finish serially (:mod:`repro.engine.resilience`).  ``stage_deadline``
+    bounds each parallel stage's gather in seconds, for hang detection.
+    ``context`` selects the evaluation context the chased structure's index
+    is donated to (``None`` = the process-wide shared context) — per-session
+    callers pass their own so post-chase queries stay isolated.
 
     The result's stage snapshots are always available, built lazily from
     the provenance.  ``keep_snapshots`` is accepted and ignored: it goes
@@ -211,7 +204,7 @@ def run_chase(
         max_atoms=max_atoms,
         strategy=strategy,
         workers=workers,
-        resilience=resilience,
+        stage_deadline=stage_deadline,
         context=context,
     )
     try:
@@ -232,8 +225,6 @@ __all__ = [
     "EngineSpec",
     "FiringStrategy",
     "ParallelDiscovery",
-    "ResilienceConfig",
-    "ResilienceConfigError",
     "SemiNaiveChaseEngine",
     "SupervisedDiscovery",
     "WorkerError",
@@ -242,7 +233,6 @@ __all__ = [
     "lazy_strategy",
     "make_engine",
     "oblivious_strategy",
-    "resolve_resilience",
     "resolve_strategy",
     "run_chase",
     "semi_oblivious_strategy",

@@ -54,17 +54,12 @@ problem returns a :class:`StageOutcome` that records, per failed worker,
 *what* went wrong (``crash`` — the pipe hit EOF or the send broke; ``hang``
 — the deadline expired; ``generation`` / ``truncate`` / ``attach`` — the
 worker's replica validation tripped, see :class:`ReplicaDesync`; ``error``
-— any other remote exception) and *which tasks* were lost.  Every faulted
-worker is terminated and respawned against the **current** shm generation:
-a respawned worker is marked *fresh* and receives a full-state sync
-(:meth:`~repro.engine.shm.SharedColumnStore.snapshot`) on its next dispatch
-instead of an incremental suffix it could not interpret.  Because the merge
-is keyed by the task list — never by which worker computed a row, or when —
-re-dispatching lost tasks to surviving workers is invisible to the result:
-bit-identity is preserved by construction.  How many retries a stage gets,
-and whether exhausted recovery degrades to serial discovery or raises
-:class:`WorkerError`, is the supervisor's
-:class:`~repro.engine.resilience.ResilienceConfig`.
+— any other remote exception) and *which tasks* were lost.  A faulted
+stage is the pool's last: the faulted workers are terminated at once and
+the pool closes, and the supervisor recomputes the lost tasks engine-side
+and finishes the run serially.  Because the merge is keyed by the task
+list — never by which worker computed a row — a recomputed task is
+invisible in the result: bit-identity is preserved by construction.
 
 Deterministic faults for the differential suite are *injected engine-side*
 (:mod:`repro.testing.faults`): crash/hang directives travel inside the
@@ -115,11 +110,12 @@ CRASH_EXIT_CODE = 17
 
 
 class WorkerError(ChaseExecutionError):
-    """A discovery worker failed; carries the remote detail.
+    """The discovery pool could not sync a stage to its workers.
 
-    A :class:`~repro.chase.chase.ChaseExecutionError`: what escapes to
-    callers when the pool (or its supervisor) has exhausted recovery — never
-    a bare transport exception.
+    A :class:`~repro.chase.chase.ChaseExecutionError`, raised by
+    :meth:`ParallelDiscovery.run_stage` (after the pool closed itself) when
+    the shared-memory sync fails — never a bare transport exception.  The
+    supervisor answers it like any other fault: the run finishes serially.
     """
 
 
@@ -131,17 +127,17 @@ class ReplicaDesync(RuntimeError):
     replica of a different rebuild generation (``generation mismatch``), or
     a post-sync atom total short of the count the engine declared in the
     stage message (``truncated``).  The engine classifies the shipped
-    traceback back into a fault kind; the replica is tainted either way and
-    its worker is respawned (or the pool poisoned) rather than trusted
-    again.
+    traceback back into a fault kind; the replica is tainted either way, so
+    the pool is closed rather than trusted again.
     """
 
 
 class WorkerFault(NamedTuple):
     """One worker's failure during a stage, as observed engine-side."""
 
-    worker: int
-    kind: str  # crash | hang | generation | truncate | attach | desync | error
+    worker: Optional[int]  # None: the pool as a whole (a failed shm sync)
+    #: crash | hang | generation | truncate | attach | desync | error | sync
+    kind: str
     detail: str
     tasks: Tuple[Task, ...]  # the tasks whose rows were lost with it
 
@@ -150,10 +146,8 @@ class WorkerFault(NamedTuple):
 class StageOutcome:
     """What :meth:`ParallelDiscovery.run_stage` observed for one dispatch.
 
-    ``rows_by_task`` holds every task that completed; ``faults`` the
-    failures.  ``tasks`` is the task list *of this dispatch* (a retry
-    dispatches only the lost tasks, so a supervisor accumulates
-    ``rows_by_task`` across attempts against the first dispatch's list).
+    ``tasks`` is the dispatch's task list, ``rows_by_task`` every task that
+    completed and ``faults`` the failures.
     """
 
     tasks: List[Task]
@@ -193,8 +187,8 @@ def merge_rows(
     """Decode gathered rows into per-TGD assignment lists, in task order.
 
     The canonical merge: iteration follows *tasks* (the dispatch-time list),
-    so which worker computed a row — first try, retry, or the engine's own
-    serial fallback — cannot influence the result.  Runs supervisor-side,
+    so which worker computed a row — or whether the engine recomputed it
+    after a fault — cannot influence the result.  Runs supervisor-side,
     so it works even after the pool is gone.
     """
     term = index.interner.term
@@ -219,8 +213,9 @@ def task_rows(
 ) -> List[Tuple[int, ...]]:
     """One task's candidate rows: the enumeration a worker runs per task.
 
-    The supervisor's serial fallback calls it against the engine's own
-    index, so a recomputed task is indistinguishable from a worker reply.
+    The supervisor calls it against the engine's own index for the tasks a
+    fault lost, so a recomputed task is indistinguishable from a worker
+    reply.
     """
     tgd_index, seed_lo, seed_hi = task
     return list(
@@ -404,7 +399,7 @@ class ParallelDiscovery:
     """A pool of discovery workers bound to one TGD set.
 
     Bound to an engine across runs (keep-alive via :meth:`reset`), driven
-    once per stage (plus retries) through :meth:`run_stage` by the engine's
+    once per stage through :meth:`run_stage` by the engine's
     :class:`~repro.engine.resilience.SupervisedDiscovery`, and closed in the
     engine's ``finally``.  Also usable directly — the benchmark wraps it in
     a supervisor against a standalone index.
@@ -430,10 +425,6 @@ class ParallelDiscovery:
         self._preinterned = False
         self._shm_initial_capacity = shm_initial_capacity
         self._store = None
-        #: Workers respawned since the last full sync: their replicas are
-        #: empty, so their next dispatch must carry full state, not an
-        #: incremental suffix.
-        self._fresh: set = set()
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = next(m for m in _START_METHODS if m in available)
@@ -460,35 +451,6 @@ class ParallelDiscovery:
         process.start()
         child_conn.close()
         return parent_conn, process
-
-    def _respawn_worker(self, worker_id: int) -> None:
-        """Replace worker *worker_id* with a fresh process and pipe.
-
-        Always a terminate-and-replace, even when the old process still
-        looks alive (a hung worker, or one whose replica validation failed
-        mid-apply): its replica can no longer be trusted, and closing the
-        old pipe guarantees a late reply from it can never be mistaken for
-        the new worker's.  The new worker is marked fresh — its next
-        dispatch carries full state against the current shm generation.
-        """
-        conn = self._conns[worker_id]
-        process = self._processes[worker_id]
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already broken
-            pass
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=5)
-        else:
-            process.join(timeout=5)
-        new_conn, new_process = self._spawn_worker()
-        self._conns[worker_id] = new_conn
-        self._processes[worker_id] = new_process
-        self._fresh.add(worker_id)
 
     # ------------------------------------------------------------------
     @property
@@ -532,23 +494,19 @@ class ParallelDiscovery:
         engine-side index whose stamps and interner start over — so the
         replicas, the shm mirror and the pre-interning state must start over
         with it.  Worker processes (and their imported modules) are reused.
-        A worker found dead here (killed between runs) is **respawned**, not
-        fatal: the next sync after a reset ships full state to everyone
-        anyway, so a recovered pool is indistinguishable from a fresh one.
+        A worker found dead here (killed between runs) closes the pool; the
+        engine then builds a fresh one (:attr:`closed` is the signal).
         """
         if self._conns is None:
             raise RuntimeError("discovery pool is closed")
-        for worker_id, conn in enumerate(list(self._conns)):
+        for conn in self._conns:
             try:
                 conn.send(("reset",))
             except (BrokenPipeError, EOFError, OSError):
-                # Died between runs (kill/OOM).  A respawned worker starts
-                # with an empty replica — exactly the post-reset state.
-                self._respawn_worker(worker_id)
+                # Died between runs (kill/OOM).
+                self.close()
+                return
         self._preinterned = False
-        # The first sync of the next run is reset=True full state for every
-        # worker; nobody needs the special fresh-worker payload.
-        self._fresh.clear()
         if self._store is not None and not self._store.closed:
             # Keep the segments (the next run's columns recycle them), but
             # restart the mirror from zero alongside the replicas.
@@ -558,7 +516,6 @@ class ParallelDiscovery:
         """Stop the workers and unlink every segment; idempotent."""
         conns, self._conns = self._conns, None
         processes, self._processes = self._processes, []
-        self._fresh = set()
         for conn in conns or ():
             try:
                 conn.send(("stop",))
@@ -585,22 +542,20 @@ class ParallelDiscovery:
         stage_start: int,
         stage: Optional[int] = None,
         deadline: Optional[float] = None,
-        tasks: Optional[List[Task]] = None,
     ) -> StageOutcome:
-        """Dispatch one stage (or a retry's task subset) and gather with
-        fault detection.
+        """Dispatch one stage and gather with fault detection.
 
         Does not raise on worker failure — failures come back classified in
-        :attr:`StageOutcome.faults` with the tasks they lost, and every
-        faulted worker has already been replaced by a fresh one marked for
-        full-state sync, so the caller can immediately re-dispatch the lost
-        tasks.  ``deadline`` bounds the *gather* (in seconds): workers still
-        silent when it expires are treated as hung.  ``stage`` is the
-        engine's 1-based stage number — the coordinate the fault injector
+        :attr:`StageOutcome.faults` with the tasks they lost, and a faulted
+        pool has already terminated the faulted workers and closed itself,
+        so the caller recomputes the lost tasks without it.  ``deadline``
+        bounds the *gather* (in seconds): workers still silent when it
+        expires are treated as hung.  ``stage`` is the engine's 1-based
+        stage number — the coordinate the fault injector
         (:mod:`repro.testing.faults`) keys on; injection is disabled when it
         is ``None``.  The only raise is :class:`WorkerError`, after closing
         the pool, when the shared-memory sync fails (``OSError``, e.g. a
-        full ``/dev/shm``) or healing itself fails.
+        full ``/dev/shm``).
         """
         if self._conns is None:
             raise RuntimeError("discovery pool is closed")
@@ -615,18 +570,12 @@ class ParallelDiscovery:
                     self._shm_initial_capacity
                 )
             payload = store.sync(index)
-            # A reset sync is full state for everyone; fresh workers need no
-            # special payload this dispatch.
-            if payload is not None and payload.reset:
-                self._fresh.clear()
-            full_payload = store.snapshot(index) if self._fresh else None
         except OSError as error:
             self.close()
             raise WorkerError(
                 f"shared-memory sync failed: {error!r}"
             ) from error
-        if tasks is None:
-            tasks = self._plan_tasks(delta_lo, stage_start)
+        tasks = self._plan_tasks(delta_lo, stage_start)
         worker_count = len(self._conns)
         parts = [tasks[offset::worker_count] for offset in range(worker_count)]
         # The engine's own atom count at dispatch: the truncation oracle the
@@ -641,10 +590,10 @@ class ParallelDiscovery:
         injected = 0
         plan = active_plan() if stage is not None else None
         if plan is not None:
-            # At most one fault per victim per dispatch: a schedule arming
-            # several faults at the same coordinates spreads them across the
-            # retry attempts (that is how exhaustion scenarios are built),
-            # instead of collapsing into a single doomed dispatch.
+            # At most one fault per victim per dispatch: a worker fails only
+            # once, so a second fault aimed at it could never be detected.
+            # It stays armed instead (for a later run of a keep-alive engine:
+            # this run's pool ends with its first fault).
             struck: set = set()
             for fault in plan.pending_for(stage):
                 victim = fault.worker % worker_count
@@ -661,14 +610,7 @@ class ParallelDiscovery:
                         else ("hang", ordinal, fault.hang_seconds)
                     )
                 else:
-                    current = payload_overrides.get(victim)
-                    if current is None:
-                        current = (
-                            full_payload
-                            if victim in self._fresh and full_payload is not None
-                            else payload
-                        )
-                    tampered = tamper_payload(fault.kind, current)
+                    tampered = tamper_payload(fault.kind, payload)
                     if tampered is None:
                         continue  # nothing to tamper this stage; stays armed
                     payload_overrides[victim] = tampered
@@ -687,12 +629,7 @@ class ParallelDiscovery:
         waiting: Dict[object, Tuple[int, List[Task]]] = {}
         byte_cache: Dict[int, int] = {}
         for worker_id, (conn, part) in enumerate(zip(self._conns, parts)):
-            send_payload = payload_overrides.get(worker_id)
-            if send_payload is None:
-                if worker_id in self._fresh and full_payload is not None:
-                    send_payload = full_payload
-                else:
-                    send_payload = payload
+            send_payload = payload_overrides.get(worker_id, payload)
             message = (
                 "run",
                 send_payload,
@@ -717,8 +654,6 @@ class ParallelDiscovery:
                 )
                 continue
             waiting[conn] = (worker_id, part)
-            if worker_id in self._fresh and send_payload is full_payload:
-                self._fresh.discard(worker_id)
             if tracer is not None:
                 # Priced only while tracing: the engine never serialises the
                 # payload itself (each pipe send does), so this pickle exists
@@ -789,16 +724,15 @@ class ParallelDiscovery:
                     continue
                 for task, rows in zip(part, reply[1]):
                     outcome.rows_by_task[task] = rows
-        # ---- heal -----------------------------------------------------
+        # ---- a faulted stage is the pool's last -----------------------
         if outcome.faults:
-            try:
-                for fault in outcome.faults:
-                    self._respawn_worker(fault.worker)
-            except BaseException as error:
-                self.close()
-                raise WorkerError(
-                    f"could not respawn discovery workers: {error!r}"
-                ) from error
+            # Terminate the faulted workers first (a hung one would hold
+            # close() up), then stop the rest and unlink the segments.
+            for fault in outcome.faults:
+                process = self._processes[fault.worker]
+                if process.is_alive():
+                    process.terminate()
+            self.close()
         return outcome
 
     # ------------------------------------------------------------------

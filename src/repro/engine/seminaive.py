@@ -41,7 +41,7 @@ from ..obs.report import ChaseRunStats, StageStats
 from ..obs.trace import NULL_SPAN, get_tracer
 from .delta import Assignment, compiled_delta_matches
 from .indexes import AtomIndex
-from .resilience import SupervisedDiscovery, resolve_resilience
+from .resilience import SupervisedDiscovery
 from .strategies import FiringStrategy, lazy_strategy
 
 
@@ -82,18 +82,13 @@ class SemiNaiveChaseEngine:
     #: rejects anything else.  It goes once the repository benchmark stops
     #: passing ``match_strategy="auto"``.
     match_strategy: InitVar[Optional[str]] = None
-    #: Fault tolerance of the parallel discovery pool
-    #: (:mod:`repro.engine.resilience`): ``None`` (the default) supervises
-    #: with environment-tunable defaults — dead workers are respawned
-    #: against the current shm generation, lost partitions re-dispatched
-    #: with bounded retry, and exhausted recovery degrades the run to
-    #: serial discovery; ``False`` means zero retries and no fallback (the
-    #: first worker fault closes the pool and raises
-    #: :class:`~repro.engine.parallel.WorkerError`); a
-    #: :class:`~repro.engine.resilience.ResilienceConfig` tunes deadlines,
-    #: retries and the fallback tier.  Output stays bit-identical on every
-    #: recovery path — only availability changes.
-    resilience: object = None
+    #: Per-stage gather deadline of the parallel discovery pool, in seconds
+    #: (``None``, the default, waits forever).  Hang detection needs it;
+    #: crashes are caught without it.  Every worker fault has one response
+    #: (:mod:`repro.engine.resilience`): the pool closes, the stage's lost
+    #: tasks are recomputed engine-side and the rest of the run is serial.
+    #: Output stays bit-identical either way — only availability changes.
+    stage_deadline: Optional[float] = None
     #: Collect a :class:`~repro.obs.report.ChaseRunStats` for the run and
     #: attach it as ``result.stats`` (per-stage candidates/fired/atoms plus
     #: discovery/dedup/fire wall times — a handful of clock reads per stage).
@@ -154,9 +149,11 @@ class SemiNaiveChaseEngine:
             and len(pool.rules) == len(self.tgds)
             and all(ours is theirs for ours, theirs in zip(self.tgds, pool.rules))
         ):
-            # Same pool, new run: fresh replicas, same worker processes.
+            # Same pool, new run: fresh replicas, same worker processes —
+            # unless a worker died between runs, which closes the pool.
             pool.reset()
-            return pool
+            if not pool.closed:
+                return pool
         self.close()
         from .parallel import ParallelDiscovery
 
@@ -181,9 +178,7 @@ class SemiNaiveChaseEngine:
         pool = self._ensure_pool()
         supervisor = None
         if pool is not None:
-            supervisor = SupervisedDiscovery(
-                pool, resolve_resilience(self.resilience), self.tgds
-            )
+            supervisor = SupervisedDiscovery(pool, self.tgds, self.stage_deadline)
         # Telemetry handles are fetched once per run; when everything is
         # disabled (tracer None, registry None, collect_stats False) the
         # whole run takes the exact pre-telemetry path — no clock reads, no
@@ -263,8 +258,8 @@ class SemiNaiveChaseEngine:
                 raise
             finally:
                 if pool is not None and pool.closed:
-                    # A failed worker poisons (closes) the pool mid-run; drop
-                    # the dead reference so the next run builds a fresh one.
+                    # A worker fault closes the pool mid-run; drop the dead
+                    # reference so the next run builds a fresh one.
                     self._pool = None
                 # Keep the index attached and hand it to the query layer: the
                 # chased structure's first certificate / containment check
@@ -408,7 +403,7 @@ class SemiNaiveChaseEngine:
             if supervisor is not None:
                 started = CLOCK() if timed else 0.0
                 # The stage number travels down as the coordinate the fault
-                # injector and the retry/degrade events key on.
+                # injector and the fault/degrade events key on.
                 per_tgd: Iterable[Iterable[Assignment]] = supervisor.discover(
                     index, delta_lo, stage_start, stage=stage
                 )

@@ -236,9 +236,6 @@ class SharedColumnStore:
         self._predicates = 0
         self._first_sync = True
         self._closed = False
-        #: The directory of the most recent sync — what a *full-state*
-        #: :meth:`snapshot` for a respawned worker re-ships.
-        self._directory: Tuple[SegmentEntry, ...] = ()
         #: Unlinking is the owner's job alone: a forked child that inherits
         #: this object (atexit entry, SIGTERM handler) must never destroy
         #: segments the engine is still serving to other workers.
@@ -273,7 +270,6 @@ class SharedColumnStore:
         self._terms = 0
         self._predicates = 0
         self._first_sync = True
-        self._directory = ()
 
     def close(self) -> None:
         """Unlink every segment; idempotent, also runs at interpreter exit.
@@ -313,7 +309,6 @@ class SharedColumnStore:
             atexit.register(self.close)
             raise
         self._synced = {}
-        self._directory = ()
         self.allocated_bytes = 0
 
     # ------------------------------------------------------------------
@@ -437,7 +432,6 @@ class SharedColumnStore:
         self._watermark = watermark
         self._terms = term_count
         self._predicates = predicate_count
-        self._directory = tuple(directory)
         first = self._first_sync
         self._first_sync = False
         return ShmSync(
@@ -451,39 +445,6 @@ class SharedColumnStore:
             directory=tuple(directory),
             watermark=watermark,
             rebuilds=index.rebuilds,
-        )
-
-    # ------------------------------------------------------------------
-    def snapshot(self, index) -> ShmSync:
-        """A *full-state* sync message for a replica that knows nothing.
-
-        The respawn path of the resilient pool: a worker brought up
-        mid-run must install the complete symbol tables and rescan every
-        directory entry from offset zero, against the *current* shm
-        generation — incremental suffixes would silently desync it.  Brings
-        the mirror current first if the index moved since the last
-        :meth:`sync`, then re-ships the whole directory with ``reset=True``.
-        """
-        if self._closed:
-            raise RuntimeError("shared-memory store is closed")
-        if (
-            self._first_sync
-            or self._rebuilds != index.rebuilds
-            or self._watermark != index.watermark()
-            or self._terms != index.interner.term_count()
-            or self._predicates != index.interner.predicate_count()
-        ):
-            self.sync(index)
-        interner = index.interner
-        return ShmSync(
-            reset=True,
-            term_base=0,
-            terms=tuple(interner.terms_since(0)),
-            predicate_base=0,
-            predicates=tuple(interner.predicates_since(0)),
-            directory=self._directory,
-            watermark=self._watermark,
-            rebuilds=self._rebuilds if self._rebuilds is not None else 0,
         )
 
 

@@ -79,7 +79,7 @@ class ChaseRunStats:
     index: Dict[str, int] = field(default_factory=dict)
     #: Fault-tolerance ledger of the run's supervised parallel discovery
     #: (:mod:`repro.engine.resilience`): injected / detected / retried /
-    #: degraded.  Empty for serial or strict (unsupervised) runs.  CI asserts
+    #: degraded (``retried`` always 0).  Empty for serial runs.  CI asserts
     #: these equal the trace summariser's ``parallel.fault.*`` event counts —
     #: the two accountings must never drift.
     faults: Dict[str, int] = field(default_factory=dict)
@@ -217,7 +217,6 @@ def _render_fault_ledger(faults: Dict[str, int]) -> str:
     return (
         f"parallel faults: {faults.get('injected', 0)} injected, "
         f"{faults.get('detected', 0)} detected, "
-        f"{faults.get('retried', 0)} retried, "
         f"{faults.get('degraded', 0)} degraded"
     )
 
@@ -364,9 +363,9 @@ class TraceSummary:
     shm_grown_bytes: int = 0
     #: Supervision ledger folded from fault-tolerance events:
     #: ``parallel.fault.injected`` → injected, every other
-    #: ``parallel.fault.*`` → detected, ``parallel.retry`` → retried,
-    #: ``parallel.degrade`` → degraded.  Must reconcile exactly with
-    #: ``ChaseRunStats.faults`` of the traced run.
+    #: ``parallel.fault.*`` → detected, ``parallel.degrade`` → degraded
+    #: (``faults_retried`` has no event and stays 0).  Must reconcile exactly
+    #: with ``ChaseRunStats.faults`` of the traced run.
     faults_injected: int = 0
     faults_detected: int = 0
     faults_retried: int = 0
@@ -471,8 +470,6 @@ def _summarize_lines(
                 summary.faults_injected += 1
             elif name.startswith("parallel.fault."):
                 summary.faults_detected += 1
-            elif name == "parallel.retry":
-                summary.faults_retried += 1
             elif name == "parallel.degrade":
                 summary.faults_degraded += 1
         # "B" lines only open spans; the matching "E" carries the totals.

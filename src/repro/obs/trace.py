@@ -15,9 +15,9 @@ a fixed vocabulary (see the README glossary):
 * fault-tolerance events from the supervised pool
   (:mod:`repro.engine.resilience`): ``parallel.fault.injected`` when the
   fault harness arms a fault, ``parallel.fault.{crash,hang,attach,truncate,
-  generation,desync,error}`` when the supervisor detects one,
-  ``parallel.retry`` per backoff-and-retry round, and ``parallel.degrade``
-  when a stage falls back to serial discovery;
+  generation,desync,error,sync}`` when the supervisor detects one (with the
+  last line of its detail), and ``parallel.degrade`` when the run closes
+  the pool and finishes serially;
 * ``trie.{build,extend,invalidate}`` events from the WCOJ trie cache and
   ``index.rebuild`` events from the atom index.
 

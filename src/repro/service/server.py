@@ -32,14 +32,12 @@ typed 400 naming it, so a misspelt or unsupported field fails loudly
 instead of being ignored.
 
 Failure semantics: typed library errors map onto HTTP statuses —
-parse/config errors (``ParseError``, ``TGDError``, ``QueryError``,
-``ResilienceConfigError``, any ``ValueError``/``TypeError``) → 400, unknown
-session/structure → 404, capacity (sessions or atoms) → 429, a chase that
-hit its budget with ``raise_on_budget`` → 409, and an *operational* chase
-failure (:class:`~repro.chase.chase.ChaseExecutionError` — the typed
-"substrate died and recovery was exhausted" signal of the resilience
-layer) → 503, since retrying against a healthy pool may well succeed.
-Everything else is a 500.  Error bodies are
+parse/config errors (``ParseError``, ``TGDError``, ``QueryError``, any
+``ValueError``/``TypeError``) → 400, unknown session/structure → 404,
+capacity (sessions or atoms) → 429, a chase that hit its budget with
+``raise_on_budget`` → 409, and an *operational* chase failure
+(:class:`~repro.chase.chase.ChaseExecutionError`) → 503, since retrying
+may well succeed.  Everything else is a 500.  Error bodies are
 ``{"error": {"status", "type", "message"}}``.
 
 **Request-scoped telemetry.**  Every request carries a trace id — the
@@ -83,8 +81,8 @@ def _status_for(exc: BaseException) -> int:
         return 409
     if isinstance(exc, ChaseExecutionError):
         return 503
-    # ParseError / TGDError / QueryError / ResilienceConfigError are all
-    # ValueError subclasses; TypeError covers malformed payload shapes.
+    # ParseError / TGDError / QueryError are all ValueError subclasses;
+    # TypeError covers malformed payload shapes.
     if isinstance(exc, (ValueError, TypeError, KeyError)):
         return 400
     return 500
@@ -382,7 +380,7 @@ class _Handler(BaseHTTPRequestHandler):
     def chase(self, session: str) -> Tuple[int, Dict[str, object]]:
         payload = self._payload(
             "structure", "rules", "result_name", "workers", "strategy",
-            "max_stages", "max_atoms", "resilience",
+            "max_stages", "max_atoms",
         )
         target = self._session(session)
         return 200, target.chase(
@@ -393,7 +391,6 @@ class _Handler(BaseHTTPRequestHandler):
             strategy=payload.get("strategy", "lazy"),
             max_stages=payload.get("max_stages"),
             max_atoms=payload.get("max_atoms"),
-            resilience=payload.get("resilience"),
         )
 
     def query(self, session: str) -> Tuple[int, Dict[str, object]]:

@@ -43,7 +43,7 @@ from ..core.builders import parse_cq, parse_facts
 from ..core.containment import containment_witness
 from ..core.query import ConjunctiveQuery
 from ..core.structure import Structure
-from ..engine import SemiNaiveChaseEngine, ResilienceConfig
+from ..engine import SemiNaiveChaseEngine
 from ..engine.strategies import resolve_strategy
 from ..greenred.determinacy import check_unrestricted_determinacy
 from ..obs.metrics import CLOCK, MetricsRegistry, peak_rss_kb
@@ -145,35 +145,6 @@ class ShapeCache:
                 "hits": self.hits,
                 "misses": self.misses,
             }
-
-
-def _resolve_resilience_spec(spec):
-    """Translate the wire-level resilience spec into engine terms.
-
-    ``None`` → supervised defaults, ``False``/``"strict"`` → strict
-    fail-fast (zero retries, no serial fallback), a dict → an explicit
-    :class:`ResilienceConfig`.
-    """
-    if spec is None:
-        return None, "default"
-    if spec is False or spec == "strict":
-        return False, "strict"
-    if isinstance(spec, dict):
-        allowed = {"stage_deadline", "max_retries", "backoff_seconds", "serial_fallback"}
-        unknown = set(spec) - allowed
-        if unknown:
-            raise BadRequestError(
-                f"unknown resilience knob(s) {sorted(unknown)}; known: {sorted(allowed)}"
-            )
-        try:
-            config = ResilienceConfig(**spec)
-        except TypeError as exc:
-            raise BadRequestError(f"bad resilience spec: {exc}") from exc
-        key = tuple(sorted(spec.items()))
-        return config, key
-    raise BadRequestError(
-        f"resilience must be null, false, 'strict' or an object, not {spec!r}"
-    )
 
 
 def _check_workers(workers) -> None:
@@ -391,10 +362,8 @@ class Session:
         tgds: Tuple[TGD, ...],
         workers: int,
         strategy: str,
-        resilience_spec,
     ) -> SemiNaiveChaseEngine:
-        resilience, resilience_key = _resolve_resilience_spec(resilience_spec)
-        key = (rule_texts, workers, strategy, resilience_key)
+        key = (rule_texts, workers, strategy)
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
@@ -404,7 +373,6 @@ class Session:
             tgds=list(tgds),
             strategy=resolve_strategy(strategy),
             workers=workers,
-            resilience=resilience,
             context=self.context,
         )
         self._engines[key] = engine
@@ -426,7 +394,6 @@ class Session:
         strategy: str = "lazy",
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        resilience=None,
     ) -> Dict[str, object]:
         """Run the chase inside the session; returns run accounting.
 
@@ -449,9 +416,7 @@ class Session:
                     f"of {self.max_atoms}, chase of {structure!r} "
                     f"({len(source)} atoms) cannot fit a result"
                 )
-            engine = self._engine_for(
-                tuple(rules), tgds, workers, strategy, resilience
-            )
+            engine = self._engine_for(tuple(rules), tgds, workers, strategy)
             engine.max_stages = max_stages
             engine.max_atoms = (
                 available if max_atoms is None else min(int(max_atoms), available)

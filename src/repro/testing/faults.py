@@ -2,12 +2,12 @@
 
 The resilience layer (:mod:`repro.engine.resilience`) claims that a chase
 survives worker crashes, hangs, shared-memory attach failures, truncated
-control messages and generation-mismatched syncs.  This module is how those
+control messages and generation-mismatched syncs: the faulted stage and the
+rest of the run finish serially, bit-identical.  This module is how those
 faults are *manufactured on demand*, deterministically, at chosen
 stage/worker/task coordinates — the differential suite arms a seeded
-schedule, runs the chase, and asserts bit-identity (or a typed
-:class:`~repro.chase.chase.ChaseExecutionError`) plus a clean process/segment
-audit.
+schedule, runs the chase, and asserts bit-identity, an exact fault ledger
+and a clean process/segment audit.
 
 Design constraints:
 
@@ -20,10 +20,11 @@ Design constraints:
   what lets the trace carry honest ``parallel.fault.injected`` events and
   the run stats reconcile with them, and what makes the injector work under
   both ``fork`` and ``spawn`` start methods.
-* **Consume-once.**  A fault fires at its coordinates and is then spent;
-  retries of the same stage do not re-inject it, so a recovering run
-  converges instead of looping against a permanently hostile schedule.
-  (Exhaustion scenarios arm several faults at the same coordinates.)
+* **Consume-once.**  A fault fires at its coordinates and is then spent, so
+  every injection is counted exactly once, and a later run of a keep-alive
+  engine passing the same coordinates does not re-inject it.  A fault that
+  finds nothing to hit (no task for its victim, no payload to tamper) stays
+  armed instead.
 * **Disarmed is free.**  :func:`active_plan` is one module-global read; no
   plan, no overhead.
 
@@ -77,8 +78,6 @@ class FaultPlan:
     """A deterministic schedule of faults, consumed as the chase runs."""
 
     faults: List[Fault] = field(default_factory=list)
-    #: Faults actually injected so far (directives sent / payloads tampered).
-    injected: int = 0
     _spent: set = field(default_factory=set, repr=False)
 
     def pending_for(self, stage: int) -> List[Fault]:
@@ -94,12 +93,7 @@ class FaultPlan:
         for position, candidate in enumerate(self.faults):
             if candidate == fault and position not in self._spent:
                 self._spent.add(position)
-                self.injected += 1
                 return
-
-    @property
-    def exhausted(self) -> bool:
-        return len(self._spent) >= len(self.faults)
 
 
 def random_fault_plan(
@@ -225,8 +219,6 @@ def tamper_payload(kind: str, body):
     )
 
 
-#: Directive tuple kinds a worker executes mid-task (see
-#: ``repro.engine.parallel._worker_main``).
 __all__ = [
     "DEFAULT_HANG_SECONDS",
     "ENV_VAR",

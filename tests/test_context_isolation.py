@@ -13,6 +13,7 @@ Two regressions pinned here:
   thread's iteration.
 """
 
+import gc
 import threading
 
 import pytest
@@ -30,6 +31,9 @@ RULES = parse_tgds("R(x,y) -> S(y,w)")
 def test_run_chase_adopts_into_explicit_context():
     ctx = EvalContext()
     instance = structure_from_text("R(a,b), R(b,c)")
+    # Entries of structures earlier tests dropped leave the shared context
+    # only when the collector runs; collect first so the baseline is stable.
+    gc.collect()
     before_shared = len(shared_context)
     result = run_chase(RULES, instance, max_stages=5, context=ctx)
     assert ctx.peek(result.structure) is not None

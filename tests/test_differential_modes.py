@@ -77,6 +77,15 @@ def random_case(seed):
     return rules, Structure(sorted(facts, key=repr))
 
 
+def assert_no_faults(parallel, label):
+    """A parallel run must not pass by degrading: the supervisor finishes a
+    faulted run serially (bit-identical), which would hide a pool bug."""
+    faults = parallel.stats.faults  # empty when the run had no pool
+    assert faults.get("detected", 0) == faults.get("degraded", 0) == 0, (
+        label, faults,
+    )
+
+
 def assert_bit_identical(expected, produced, label):
     """Every observable bit of two chase results must coincide."""
     assert produced.stages_run == expected.stages_run, label
@@ -109,7 +118,9 @@ def test_lazy_modes_are_bit_identical_to_reference(seed):
         parallel = run_chase(
             rules, instance, MAX_STAGES, MAX_ATOMS, workers=workers
         )
-        assert_bit_identical(reference, parallel, f"workers={workers} seed={seed}")
+        label = f"workers={workers} seed={seed}"
+        assert_bit_identical(reference, parallel, label)
+        assert_no_faults(parallel, label)
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -126,9 +137,9 @@ def test_eager_strategies_parallel_matches_serial(seed, strategy):
     parallel = run_chase(
         rules, instance, MAX_STAGES, MAX_ATOMS, strategy=strategy, workers=workers
     )
-    assert_bit_identical(
-        serial, parallel, f"strategy={strategy} workers={workers} seed={seed}"
-    )
+    label = f"strategy={strategy} workers={workers} seed={seed}"
+    assert_bit_identical(serial, parallel, label)
+    assert_no_faults(parallel, label)
 
 
 @pytest.mark.parametrize("seed", _SEEDS[:4])

@@ -6,11 +6,13 @@ partitioning (per-TGD and delta-window splitting) and the engine-level
 parallel engine across firing strategies lives in
 ``tests/test_differential_modes.py``.  The pool is driven the way the
 engine drives it: through a
-:class:`~repro.engine.resilience.SupervisedDiscovery`.
+:class:`~repro.engine.resilience.SupervisedDiscovery` — via :func:`strict`,
+which fails the test on any fault the supervisor absorbed.
 """
 
 import gc
 import glob
+import json
 import multiprocessing
 import os
 import pickle
@@ -27,7 +29,6 @@ from repro.core.terms import Constant, LabeledNull, Variable
 from repro.engine import (
     AtomIndex,
     ParallelDiscovery,
-    ResilienceConfig,
     SemiNaiveChaseEngine,
     SupervisedDiscovery,
     WorkerError,
@@ -42,9 +43,6 @@ from repro.engine.shm import (
     SharedColumnStore,
 )
 from repro.query.interning import Interner
-
-#: Zero retries and no serial fallback: the first worker fault raises.
-STRICT = ResilienceConfig(max_retries=0, serial_fallback=False)
 
 shm_only = pytest.mark.skipif(
     not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
@@ -66,8 +64,19 @@ def serial_discovery(tgds, index, delta_lo, stage_start):
 
 
 def strict(pool, tgds):
-    """*pool* under the supervisor an engine with ``resilience=False`` builds."""
-    return SupervisedDiscovery(pool, STRICT, tgds)
+    """*pool* under a supervisor whose every ``discover`` asserts a zero
+    fault ledger, so a pool bug cannot hide behind the serial recompute."""
+    supervisor = SupervisedDiscovery(pool, tgds)
+    discover = supervisor.discover
+
+    def checked(*args, **kwargs):
+        results = discover(*args, **kwargs)
+        counts = supervisor.counts
+        assert counts["detected"] == counts["degraded"] == 0, counts
+        return results
+
+    supervisor.discover = checked
+    return supervisor
 
 
 def assert_same_index(replica, source):
@@ -199,17 +208,33 @@ def test_pool_resyncs_after_index_rebuild():
 
 @shm_only
 def test_pool_is_poisoned_after_a_worker_failure(monkeypatch):
-    # With zero retries and no fallback, the first worker failure raises a
-    # typed error carrying the remote detail and closes the pool, so no
-    # caller can keep using it.  A task with an out-of-range TGD index
-    # forces the failure.
+    # A task with an out-of-range TGD index makes the worker reply with an
+    # error.  The fault event names the remote IndexError, the pool closes,
+    # and the engine-side recompute of the lost task — the same code —
+    # raises the same IndexError: a deterministic enumeration bug is never
+    # absorbed by the serial recompute.
+    import repro.obs as obs
+
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
     pool = ParallelDiscovery(TGDS, workers=2)
     monkeypatch.setattr(pool, "_plan_tasks", lambda lo, hi: [(99, None, None)])
-    with pytest.raises(WorkerError, match="IndexError"):
-        strict(pool, TGDS).discover(index, 0, index.watermark())
+    lines = []
+    obs.enable_tracing(lines.append)
+    try:
+        with pytest.raises(IndexError):
+            SupervisedDiscovery(pool, TGDS).discover(index, 0, index.watermark())
+    finally:
+        obs.disable_tracing()
+    events = [
+        json.loads(line) for line in lines
+        if json.loads(line)["name"] == "parallel.fault.error"
+    ]
+    assert len(events) == 1
+    assert "IndexError" in events[0]["detail"]
+    assert len(events[0]["detail"]) <= 200
     assert pool.closed
+    assert multiprocessing.active_children() == []
     with pytest.raises(RuntimeError, match="closed"):
         pool.run_stage(index, 0, index.watermark())
 
@@ -368,9 +393,9 @@ def test_engine_rejects_unknown_match_strategy_up_front():
 @shm_only
 def test_keep_alive_engine_recovers_after_abrupt_worker_death():
     # Transport-level death (SIGKILL/OOM, not a clean "error" reply) between
-    # runs: the next run's reset() finds the dead pipes and respawns the
-    # victims in place — the *same* pool object serves the run, and output
-    # stays bit-identical to serial.
+    # runs: the next run's reset() finds the dead workers and closes the
+    # pool, the engine builds a fresh one, and the run is parallel, clean
+    # and bit-identical to serial.
     tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)")
     instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(10)))
     serial = run_chase(tgds, instance, 20, 10_000)
@@ -383,12 +408,17 @@ def test_keep_alive_engine_recovers_after_abrupt_worker_death():
             process.kill()
             process.join()
         recovered = engine.run(instance)
-        assert engine._pool is pool and not pool.closed, \
-            "reset() must heal the pool in place, not poison it"
-        new_pids = [process.pid for process in pool._processes]
-        assert set(new_pids).isdisjoint(old_pids), "victims must be respawned"
+        assert pool.closed, "a pool with dead workers must not be reused"
+        fresh = engine._pool
+        assert fresh is not pool and not fresh.closed
+        new_pids = [process.pid for process in fresh._processes]
+        assert set(new_pids).isdisjoint(old_pids), "a fresh pool, fresh workers"
         assert recovered.structure.atoms() == serial.structure.atoms()
         assert len(recovered.provenance) == len(serial.provenance)
+        assert recovered.stats.faults == {
+            "injected": 0, "detected": 0, "retried": 0, "degraded": 0,
+        }
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -549,9 +579,8 @@ def test_store_reset_recycles_segments_for_the_next_run(shm_link):
 def test_shm_failure_mid_run_degrades_or_raises_without_leaks(monkeypatch):
     # The shm backend gives out at stage 2 (e.g. /dev/shm full): the pool
     # closes and reports a WorkerError; the supervisor finishes the run
-    # with serial discovery — bit-identical to a serial run — or, with
-    # resilience=False, surfaces the typed error.  Neither path leaves a
-    # worker process or a segment behind.
+    # with serial discovery — bit-identical to a serial run — and leaves no
+    # worker process or segment behind.
     from repro.engine import ChaseExecutionError
 
     tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
@@ -569,7 +598,9 @@ def test_shm_failure_mid_run_degrades_or_raises_without_leaks(monkeypatch):
 
     monkeypatch.setattr(SharedColumnStore, "sync", failing_sync)
     degraded = run_chase(tgds, instance, 50, 50_000, workers=2)
-    assert degraded.stats.faults["degraded"] == 1
+    assert degraded.stats.faults == {
+        "injected": 0, "detected": 1, "retried": 0, "degraded": 1,
+    }
     assert degraded.stages_run == serial.stages_run
     assert degraded.structure.atoms() == serial.structure.atoms()
     assert degraded.structure.domain() == serial.structure.domain()
@@ -581,9 +612,6 @@ def test_shm_failure_mid_run_degrades_or_raises_without_leaks(monkeypatch):
         assert produced.trigger == expected.trigger
         assert produced.new_atoms == expected.new_atoms
         assert produced.new_elements == expected.new_elements
-    calls.clear()
-    with pytest.raises(WorkerError, match="shared-memory sync failed"):
-        run_chase(tgds, instance, 50, 50_000, workers=2, resilience=False)
     assert issubclass(WorkerError, ChaseExecutionError)
     assert multiprocessing.active_children() == []
     assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
@@ -617,9 +645,7 @@ def test_no_segment_leak_or_tracker_noise_at_interpreter_exit():
     script = textwrap.dedent(
         """
         from repro.core.builders import structure_from_text
-        from repro.engine import (
-            AtomIndex, ParallelDiscovery, ResilienceConfig, SupervisedDiscovery,
-        )
+        from repro.engine import AtomIndex, ParallelDiscovery, SupervisedDiscovery
         from repro.chase import parse_tgds
 
         tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)")
@@ -628,9 +654,7 @@ def test_no_segment_leak_or_tracker_noise_at_interpreter_exit():
         )
         index = AtomIndex(structure)
         pool = ParallelDiscovery(tgds, 2)
-        SupervisedDiscovery(
-            pool, ResilienceConfig(max_retries=0, serial_fallback=False), tgds
-        ).discover(index, 0, index.watermark())
+        SupervisedDiscovery(pool, tgds).discover(index, 0, index.watermark())
         print("SEGS=" + ",".join(pool._store.segment_names()))
         # exit WITHOUT closing the pool
         """

@@ -10,7 +10,6 @@ from repro.core.builders import structure_from_text
 from repro.core.structure import Structure
 from repro.engine import (
     AtomIndex,
-    ResilienceConfig,
     SemiNaiveChaseEngine,
     compiled_delta_matches,
     head_satisfied_indexed,
@@ -289,8 +288,7 @@ def test_make_engine_resolves_names_and_instances():
         pytest.param({"strategy": "oblivious"}, "firing strategies", id="strategy"),
         pytest.param({"workers": 2}, "parallel discovery", id="workers"),
         pytest.param(
-            {"resilience": ResilienceConfig()}, "resilience supervision",
-            id="resilience",
+            {"stage_deadline": 5.0}, "stage deadlines", id="stage_deadline"
         ),
         pytest.param({"context": EvalContext()}, "index hand-off", id="context"),
     ],
@@ -304,7 +302,7 @@ def test_reference_engine_rejects_semi_naive_options(route, option, message):
     for accepted in (
         {"workers": 0},
         {"workers": 1},
-        {"resilience": False},
+        {"stage_deadline": None},
     ):
         assert type(make_engine(engine, tgds, **accepted)) is ChaseEngine
 

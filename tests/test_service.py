@@ -216,10 +216,6 @@ def test_http_error_mapping(server, client):
     assert exc.value.status == 400
 
     with pytest.raises(ServiceAPIError) as exc:
-        client.chase(sid, "db", [RULE], resilience={"bogus_knob": 1})
-    assert (exc.value.status, exc.value.error_type) == (400, "BadRequestError")
-
-    with pytest.raises(ServiceAPIError) as exc:
         client.request("GET", "/no/such/route")
     assert (exc.value.status, exc.value.error_type) == (404, "NoRoute")
 
@@ -286,6 +282,15 @@ _ROUTE_BODIES = [
             (_ROUTE_BODIES[0], _ROUTE_BODIES[3], _ROUTE_BODIES[5]),
             ("default_strategy", "match_strategy", "strategy"),
         )
+    ]
+    + [
+        # Fault supervision has no request field either.
+        pytest.param(
+            _ROUTE_BODIES[3][1],
+            _ROUTE_BODIES[3][2],
+            {"resilience": "strict"},
+            id="chase-resilience",
+        ),
     ],
 )
 def test_json_routes_reject_unknown_keys(server, client, route, body, extra):
@@ -316,11 +321,9 @@ def test_malformed_json_body_is_400(server):
 
 def test_status_mapping_table():
     from repro.chase.chase import ChaseBudgetExceeded, ChaseExecutionError
-    from repro.engine import ResilienceConfigError
 
     assert _status_for(ChaseBudgetExceeded("over")) == 409
     assert _status_for(ChaseExecutionError("pool died")) == 503
-    assert _status_for(ResilienceConfigError("bad knob")) == 400
     assert _status_for(ValueError("nope")) == 400
     assert _status_for(CapacityError("full")) == 429
     assert _status_for(RuntimeError("?")) == 500
