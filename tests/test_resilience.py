@@ -195,6 +195,39 @@ def test_degraded_run_rebuilds_pool_for_the_next_run():
     assert_no_leaks()
 
 
+@shm_only
+def test_keep_alive_pool_survives_a_recovered_fault():
+    # A desync fault (caught at sync, not by a dead worker) in run N is
+    # recovered serially; the pool rebuilt by run N+1 is then kept alive
+    # and reused by run N+2, exactly as if no fault had ever happened.
+    serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
+    with SemiNaiveChaseEngine(
+        tgds=list(TGDS), max_stages=50, max_atoms=50_000, workers=2,
+        stage_deadline=DEADLINE,
+    ) as engine:
+        install_fault_plan(
+            FaultPlan(faults=[Fault(kind="generation", stage=2, worker=1,
+                                    task=0)])
+        )
+        faulted = engine.run(fresh_instance())
+        assert_bit_identical(faulted, serial)
+        assert faulted.stats.faults == ONE_FAULT
+        clear_fault_plan()
+        rebuilt = engine.run(fresh_instance())
+        pool = engine._pool
+        assert pool is not None and not pool.closed
+        assert_bit_identical(rebuilt, serial)
+        assert rebuilt.stats.faults == NO_FAULT
+        # Run N+2 on the same keep-alive engine: same pool, clean ledger.
+        clean = engine.run(fresh_instance())
+        assert engine._pool is pool, "the rebuilt pool must be reused"
+        assert not pool.closed
+        assert_bit_identical(clean, serial)
+        assert clean.stats.faults == NO_FAULT
+    assert engine._pool is None
+    assert_no_leaks()
+
+
 # ----------------------------------------------------------------------
 # Exception paths release the pool (satellite: no leaks on failure)
 # ----------------------------------------------------------------------
