@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..chase.chase import ChaseResult
 from ..core.structure import Structure
-from ..engine import EngineSpec, run_chase
+from ..engine import run_chase
 from ..greenred.coloring import dalt_structure, green_part, red_part
 from ..greengraph.precompile import precompile
 from ..separating.t_infinity import t_infinity_rules
@@ -63,7 +63,6 @@ def chase_fragments(
     max_atoms: int = 60_000,
     seed: Optional[Structure] = None,
     via_level1: bool = True,
-    engine: EngineSpec = None,
 ) -> ChaseFragments:
     """Compute the early (``chase_i``) and late (``chase^L_{2i}``) fragments.
 
@@ -84,9 +83,7 @@ def chase_fragments(
     if not via_level1 or seed is not None:
         start = seed if seed is not None else seed_green_spider()
         tgds = q_infinity_tgds()
-        result = run_chase(
-            tgds, start, max_stages=2 * i, max_atoms=max_atoms, engine=engine
-        )
+        result = run_chase(tgds, start, max_stages=2 * i, max_atoms=max_atoms)
         stages = result.stage_snapshots
         early_index = min(i, len(stages) - 1)
         early = stages[early_index].copy(name=f"chase_{i}")
@@ -95,23 +92,17 @@ def chase_fragments(
         late.add_element(TAIL_A)
         late.add_element(ANTENNA_B)
         return ChaseFragments(i=i, result=result, early=early, late=late)
-    return _fragments_via_level1(i, max_atoms, engine)
+    return _fragments_via_level1(i, max_atoms)
 
 
-def _fragments_via_level1(
-    i: int, max_atoms: int, engine: EngineSpec = None
-) -> ChaseFragments:
+def _fragments_via_level1(i: int, max_atoms: int) -> ChaseFragments:
     """The Level-1 route: chase the swarm rules, then compile each fragment."""
     level1 = precompile(t_infinity_rules())
     universe = universe_for_rules(level1.rules)
     start = Swarm(name="swarm-seed")
     start.add_edge(FULL_GREEN, TAIL_A, ANTENNA_B)
     result = run_chase(
-        level1.tgds(),
-        start.structure(),
-        max_stages=2 * i,
-        max_atoms=max_atoms,
-        engine=engine,
+        level1.tgds(), start.structure(), max_stages=2 * i, max_atoms=max_atoms
     )
     stages = result.stage_snapshots
     early_index = min(i, len(stages) - 1)

@@ -27,7 +27,7 @@ from ..chase.tgd import TGD
 from ..chase.trigger import all_satisfied, violated_tgds
 from ..core.atoms import Atom
 from ..core.terms import Variable
-from ..engine import EngineSpec, run_chase
+from ..engine import run_chase
 from .graph import GreenGraph, edge_predicate
 from .labels import FOUR, Label, THREE
 
@@ -196,19 +196,13 @@ class GreenGraphRuleSet:
         graph: GreenGraph,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        engine: EngineSpec = None,
     ) -> "GreenGraphChase":
-        """Run the chase of *graph* under this rule set.
-
-        *engine* selects the chase engine (default: the semi-naive engine of
-        :mod:`repro.engine`; pass ``"reference"`` for the reference one).
-        """
+        """Run the chase of *graph* under this rule set."""
         result = run_chase(
             self.tgds(),
             graph.structure(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            engine=engine,
         )
         return GreenGraphChase(self, graph, result)
 

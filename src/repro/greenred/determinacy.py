@@ -29,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..chase.tgd import TGD
 from ..chase.trigger import all_satisfied
-from ..engine import EngineSpec, run_chase
+from ..engine import run_chase
 from ..core.query import ConjunctiveQuery
 from ..core.structure import Structure
 from ..core.terms import LabeledNull
@@ -76,7 +76,6 @@ def check_unrestricted_determinacy(
     query: ConjunctiveQuery,
     max_stages: int = 50,
     max_atoms: int = 20_000,
-    engine: EngineSpec = None,
     context=None,
 ) -> DeterminacyReport:
     """Bounded decision procedure for CQDP (the unrestricted problem).
@@ -106,12 +105,7 @@ def check_unrestricted_determinacy(
             detail="red(Q0) already true in green(Q0)",
         )
     result = run_chase(
-        tgds,
-        instance,
-        max_stages=max_stages,
-        max_atoms=max_atoms,
-        engine=engine,
-        context=context,
+        tgds, instance, max_stages=max_stages, max_atoms=max_atoms, context=context
     )
     if query_holds(target, result.structure, answer, context=context):
         stage_index = _first_stage_with(
@@ -198,7 +192,6 @@ def check_finite_determinacy(
     max_atoms: int = 20_000,
     candidate_countermodels: Iterable[Structure] = (),
     fold_search_limit: int = 0,
-    engine: EngineSpec = None,
 ) -> DeterminacyReport:
     """Bounded, sound-when-it-answers check for CQfDP (the finite problem).
 
@@ -214,7 +207,7 @@ def check_finite_determinacy(
        the problem is undecidable (Theorem 1).
     """
     unrestricted = check_unrestricted_determinacy(
-        views, query, max_stages=max_stages, max_atoms=max_atoms, engine=engine
+        views, query, max_stages=max_stages, max_atoms=max_atoms
     )
     if unrestricted.verdict is Verdict.DETERMINED:
         return DeterminacyReport(
@@ -244,7 +237,6 @@ def check_finite_determinacy(
             max_stages=max_stages,
             attempts=fold_search_limit,
             max_atoms=max_atoms,
-            engine=engine,
         )
         if folded is not None:
             answer = _some_failing_answer(folded, views, query)
@@ -281,7 +273,6 @@ def search_counterexample_by_folding(
     max_stages: int = 10,
     attempts: int = 200,
     max_atoms: int = 5_000,
-    engine: EngineSpec = None,
 ) -> Optional[Structure]:
     """Heuristic search for a finite counter-model.
 
@@ -297,9 +288,7 @@ def search_counterexample_by_folding(
     """
     tgds = build_tq(views)
     instance, answer = green_canonical_instance(query)
-    result = run_chase(
-        tgds, instance, max_stages=max_stages, max_atoms=max_atoms, engine=engine
-    )
+    result = run_chase(tgds, instance, max_stages=max_stages, max_atoms=max_atoms)
     base = result.structure
     if _is_counterexample_structure(base, tgds, views, query, answer):
         return base

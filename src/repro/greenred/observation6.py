@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence
 
 from ..chase.chase import ChaseResult
 from ..query.evaluator import is_homomorphism
-from ..engine import EngineSpec, run_chase
+from ..engine import run_chase
 from ..core.query import ConjunctiveQuery
 from ..core.structure import Structure
 from ..query.evaluator import find_homomorphism
@@ -81,19 +81,17 @@ def verify_observation6(
     green_instance: Structure,
     max_stages: int = 6,
     max_atoms: int = 4_000,
-    engine: EngineSpec = None,
 ) -> bool:
     """Check Observation 6 on a bounded chase prefix of *green_instance*.
 
     Returns ``True`` when a homomorphism ``dalt(chase prefix) → dalt(D)``
     exists.  (For a bounded prefix this is implied by the observation for the
-    full chase, and it is exactly what the tests exercise.)  The chase runs
-    on the shared ``engine=`` parameter (default semi-naive) and the
-    fallback search on the planned index-backed evaluator.
+    full chase, and it is exactly what the tests exercise.)  The fallback
+    search runs on the planned index-backed evaluator.
     """
     tgds = build_tq(queries)
     result = run_chase(
-        tgds, green_instance, max_stages=max_stages, max_atoms=max_atoms, engine=engine
+        tgds, green_instance, max_stages=max_stages, max_atoms=max_atoms
     )
     collapsed_chase = dalt_structure(result.structure)
     collapsed_input = dalt_structure(green_instance)
@@ -109,12 +107,11 @@ def observation6_witness(
     green_instance: Structure,
     max_stages: int = 6,
     max_atoms: int = 4_000,
-    engine: EngineSpec = None,
 ) -> Optional[Dict[object, object]]:
     """Return an explicit Observation 6 homomorphism for a chase prefix."""
     tgds = build_tq(queries)
     result = run_chase(
-        tgds, green_instance, max_stages=max_stages, max_atoms=max_atoms, engine=engine
+        tgds, green_instance, max_stages=max_stages, max_atoms=max_atoms
     )
     collapsed_chase = dalt_structure(result.structure)
     collapsed_input = dalt_structure(green_instance)

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..engine import EngineSpec
 from ..greengraph.graph import GreenGraph, VERTEX_A, VERTEX_B, initial_graph
 from ..greengraph.labels import EMPTY
 from ..greengraph.rules import GreenGraphRule, GreenGraphRuleSet, RuleKind
@@ -176,14 +175,12 @@ def build_countermodel(
     add_grids: bool = True,
     grid_stages: int = 10,
     max_atoms: int = 60_000,
-    engine: EngineSpec = None,
 ) -> CountermodelReport:
     """Run the full Section VIII.E construction for a *halting* machine.
 
     The machine is simulated to obtain ``u_M`` and ``k_M``; ``M̄`` is built by
     ``k_M + extra_rounds`` reverse rounds; the optional grid phase chases
     ``T□`` over ``M̄`` (bounded) and checks that no 1-2 pattern appears.
-    *engine* selects the chase engine of the grid phase.
     """
     final_configuration, steps = halting_computation(machine, max_steps)
     base = configuration_graph(final_configuration)
@@ -195,7 +192,7 @@ def build_countermodel(
     pattern_free = None
     if add_grids:
         grid_chase = grid_rules().chase(
-            countermodel, max_stages=grid_stages, max_atoms=max_atoms, engine=engine
+            countermodel, max_stages=grid_stages, max_atoms=max_atoms
         )
         with_grids = grid_chase.graph()
         pattern_free = grid_chase.first_stage_with_one_two_pattern() is None

@@ -10,9 +10,8 @@ exercises the lemma.
 ``run`` produces a trace; ``creeps_at_least`` / ``halts_within`` are the
 bounded stand-ins for the (undecidable, Lemma 21) "creeps forever" question.
 ``chase_observed_words`` / ``simulation_matches_chase`` re-derive the same
-computation through the green-graph chase of ``T_M`` (Lemma 25) on a chase
-engine of the caller's choice, cross-validating the direct simulator against
-the declarative route.
+computation through the green-graph chase of ``T_M`` (Lemma 25),
+cross-validating the direct simulator against the declarative route.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from ..engine import EngineSpec
 from .configuration import Configuration, anatomy, is_configuration, render, word_names
 from .machine import Instruction, RainwormMachine
 
@@ -158,24 +156,19 @@ def chase_observed_words(
     chase_stages: int,
     max_atoms: int = 40_000,
     max_length: int = 80,
-    engine: EngineSpec = None,
 ) -> FrozenSet[Tuple[str, ...]]:
     """The words of a bounded chase of ``T_M`` over ``DI`` (Lemma 25 route).
 
     By Lemma 25 the chase of the machine's green-graph rules re-creates the
     worm's computation as the words of the growing graph; this is the
-    declarative counterpart of :func:`run`, executed on the selected chase
-    *engine* (default: the semi-naive engine of :mod:`repro.engine`).
+    declarative counterpart of :func:`run`.
     """
     from ..greengraph.graph import initial_graph
     from ..greengraph.parity import words
     from .to_rules import machine_rules
 
     outcome = machine_rules(machine).chase(
-        initial_graph(),
-        max_stages=chase_stages,
-        max_atoms=max_atoms,
-        engine=engine,
+        initial_graph(), max_stages=chase_stages, max_atoms=max_atoms
     )
     return words(outcome.graph(), max_length=max_length)
 
@@ -185,7 +178,6 @@ def simulation_matches_chase(
     simulate_steps: int,
     chase_stages: int,
     max_atoms: int = 40_000,
-    engine: EngineSpec = None,
 ) -> bool:
     """Does every simulated configuration occur among the chase words?
 
@@ -197,11 +189,7 @@ def simulation_matches_chase(
     reachable = {word_names(configuration) for configuration in trace}
     longest = max((len(word) for word in reachable), default=0)
     observed = chase_observed_words(
-        machine,
-        chase_stages,
-        max_atoms=max_atoms,
-        max_length=max(longest, 1),
-        engine=engine,
+        machine, chase_stages, max_atoms=max_atoms, max_length=max(longest, 1)
     )
     return reachable <= observed
 

@@ -25,10 +25,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..core.query import ConjunctiveQuery
-from ..engine import EngineSpec
-from ..greengraph.graph import GreenGraph, initial_graph
 from ..greengraph.precompile import precompile
-from ..greengraph.rules import GreenGraphChase, GreenGraphRuleSet
+from ..greengraph.rules import GreenGraphRuleSet
 from ..rainworm.machine import RainwormMachine
 from ..rainworm.to_rules import machine_rules, reduction_rules
 from ..separating.theorem14 import full_green_spider_query
@@ -44,9 +42,6 @@ class ReductionInstance:
     machine: RainwormMachine
     machine_rule_set: GreenGraphRuleSet
     full_rule_set: GreenGraphRuleSet
-    #: Chase engine used by every chase this instance runs (None = default
-    #: semi-naive engine; "reference" selects the reference implementation).
-    engine: EngineSpec = None
     _level1: Optional[SwarmRuleSet] = field(default=None, repr=False)
     _universe: Optional[SpiderUniverse] = field(default=None, repr=False)
     _views: Optional[List[ConjunctiveQuery]] = field(default=None, repr=False)
@@ -82,40 +77,6 @@ class ReductionInstance:
         return self._query
 
     # ------------------------------------------------------------------
-    def chase_machine_rules(
-        self,
-        graph: Optional[GreenGraph] = None,
-        max_stages: Optional[int] = None,
-        max_atoms: Optional[int] = None,
-    ) -> GreenGraphChase:
-        """Chase ``T_M`` from *graph* (default ``DI``) on this instance's engine.
-
-        This is the chase behind the "creeping ⇒ the slime trail keeps
-        growing" direction of Lemma 24; Theorem-1 evidence gathering calls it
-        instead of wiring up an engine of its own.
-        """
-        return self.machine_rule_set.chase(
-            graph if graph is not None else initial_graph(),
-            max_stages=max_stages,
-            max_atoms=max_atoms,
-            engine=self.engine,
-        )
-
-    def chase_full_rules(
-        self,
-        graph: Optional[GreenGraph] = None,
-        max_stages: Optional[int] = None,
-        max_atoms: Optional[int] = None,
-    ) -> GreenGraphChase:
-        """Chase ``T_M ∪ T□`` from *graph* (default ``DI``) on this engine."""
-        return self.full_rule_set.chase(
-            graph if graph is not None else initial_graph(),
-            max_stages=max_stages,
-            max_atoms=max_atoms,
-            engine=self.engine,
-        )
-
-    # ------------------------------------------------------------------
     def sizes(self) -> dict:
         """Instance-size statistics (reported by the benchmarks)."""
         return {
@@ -131,20 +92,13 @@ class ReductionInstance:
 
 
 def reduce_machine(
-    machine: RainwormMachine,
-    include_grid: bool = True,
-    engine: EngineSpec = None,
+    machine: RainwormMachine, include_grid: bool = True
 ) -> ReductionInstance:
-    """Build the reduction instance for *machine*.
-
-    *engine* selects the chase engine every downstream chase of this
-    instance runs on (default: the semi-naive engine of :mod:`repro.engine`).
-    """
+    """Build the reduction instance for *machine*."""
     machine_set = machine_rules(machine)
     full_set = reduction_rules(machine) if include_grid else machine_set
     return ReductionInstance(
         machine=machine,
         machine_rule_set=machine_set,
         full_rule_set=full_set,
-        engine=engine,
     )

@@ -64,16 +64,11 @@ def halting_direction_evidence(
     machine: RainwormMachine,
     max_steps: int = 500,
     grid_stages: int = 8,
-    engine=None,
 ) -> HaltingEvidence:
     """Run the Section VIII.E construction for a halting machine."""
-    instance = reduce_machine(machine, engine=engine)
+    instance = reduce_machine(machine)
     report = build_countermodel(
-        machine,
-        max_steps=max_steps,
-        add_grids=True,
-        grid_stages=grid_stages,
-        engine=engine,
+        machine, max_steps=max_steps, add_grids=True, grid_stages=grid_stages
     )
     return HaltingEvidence(instance=instance, countermodel=report)
 
@@ -84,13 +79,12 @@ def creeping_direction_evidence(
     chase_stages: int = 10,
     max_atoms: int = 40_000,
     merged_lengths: Tuple[int, int] = (3, 2),
-    engine=None,
 ) -> CreepingEvidence:
     """Check Lemma 25 on a chase prefix and the folding argument for a creeping machine."""
-    instance = reduce_machine(machine, engine=engine)
+    instance = reduce_machine(machine)
     trace = run(machine, simulate_steps).trace
     reachable = {word_names(configuration) for configuration in trace}
-    chase = instance.chase_machine_rules(
+    chase = instance.machine_rule_set.chase(
         initial_graph(), max_stages=chase_stages, max_atoms=max_atoms
     )
     observed = words(chase.graph(), max_length=4 * simulate_steps + 8)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Set, Tuple
 
-from ..engine import EngineSpec
 from ..greengraph.graph import GreenGraph, VERTEX_A, VERTEX_B, initial_graph
 from ..greengraph.labels import EMPTY, Label, even, odd
 from ..greengraph.parity import alpha_beta_vertex_paths, words
@@ -55,22 +54,16 @@ def t_infinity_rules() -> GreenGraphRuleSet:
     )
 
 
-def chase_t_infinity(
-    stages: int, max_atoms: int = 50_000, engine: EngineSpec = None
-) -> GreenGraphChase:
-    """A bounded prefix of ``chase(T∞, DI)`` (Figure 1 "in statu nascendi").
-
-    *engine* selects the chase engine (default: semi-naive; pass
-    ``"reference"`` for the reference implementation).
-    """
+def chase_t_infinity(stages: int, max_atoms: int = 50_000) -> GreenGraphChase:
+    """A bounded prefix of ``chase(T∞, DI)`` (Figure 1 "in statu nascendi")."""
     return t_infinity_rules().chase(
-        initial_graph(), max_stages=stages, max_atoms=max_atoms, engine=engine
+        initial_graph(), max_stages=stages, max_atoms=max_atoms
     )
 
 
-def figure1_graph(stages: int, engine: EngineSpec = None) -> GreenGraph:
+def figure1_graph(stages: int) -> GreenGraph:
     """The green graph of Figure 1 after *stages* chase stages."""
-    return chase_t_infinity(stages, engine=engine).graph()
+    return chase_t_infinity(stages).graph()
 
 
 def expected_words(max_k: int) -> FrozenSet[Tuple[str, ...]]:

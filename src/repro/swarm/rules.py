@@ -24,7 +24,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 from ..chase.chase import ChaseResult
 from ..chase.tgd import TGD
 from ..chase.trigger import all_satisfied
-from ..engine import EngineSpec, run_chase
+from ..engine import run_chase
 from ..core.atoms import Atom
 from ..core.terms import Variable
 from ..greenred.coloring import Color
@@ -197,19 +197,13 @@ class SwarmRuleSet:
         swarm: Swarm,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        engine: EngineSpec = None,
     ) -> "SwarmChase":
-        """Run the chase of *swarm* under this rule set.
-
-        *engine* selects the chase engine (default: the semi-naive engine of
-        :mod:`repro.engine`; pass ``"reference"`` for the reference one).
-        """
+        """Run the chase of *swarm* under this rule set."""
         result = run_chase(
             self.tgds(),
             swarm.structure(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            engine=engine,
         )
         return SwarmChase(self, swarm, result)
 

@@ -33,6 +33,8 @@ from repro.core.structure import Structure
 from repro.core.terms import Constant, Variable
 from repro.engine import run_chase
 
+from chase_bits import assert_bit_identical
+
 MAX_STAGES = 3
 MAX_ATOMS = 120
 
@@ -84,28 +86,6 @@ def assert_no_faults(parallel, label):
     assert faults.get("detected", 0) == faults.get("degraded", 0) == 0, (
         label, faults,
     )
-
-
-def assert_bit_identical(expected, produced, label):
-    """Every observable bit of two chase results must coincide."""
-    assert produced.stages_run == expected.stages_run, label
-    assert produced.reached_fixpoint == expected.reached_fixpoint, label
-    assert produced.structure.atoms() == expected.structure.atoms(), label
-    assert produced.structure.domain() == expected.structure.domain(), label
-    assert len(produced.stage_snapshots) == len(expected.stage_snapshots), label
-    for expected_stage, produced_stage in zip(
-        expected.stage_snapshots, produced.stage_snapshots
-    ):
-        assert produced_stage.atoms() == expected_stage.atoms(), label
-        assert produced_stage.domain() == expected_stage.domain(), label
-    # The fact sequence and trigger order, step by step: this is the part a
-    # nondeterministic merge would corrupt first.
-    assert len(produced.provenance) == len(expected.provenance), label
-    for expected_step, produced_step in zip(expected.provenance, produced.provenance):
-        assert produced_step.stage == expected_step.stage, label
-        assert produced_step.trigger == expected_step.trigger, label
-        assert produced_step.new_atoms == expected_step.new_atoms, label
-        assert produced_step.new_elements == expected_step.new_elements, label
 
 
 @pytest.mark.parametrize("seed", _SEEDS)

@@ -32,7 +32,6 @@ from repro.engine import (
     SemiNaiveChaseEngine,
     SupervisedDiscovery,
     WorkerError,
-    make_engine,
     run_chase,
 )
 from repro.engine.delta import compiled_delta_matches
@@ -272,16 +271,6 @@ def test_parallel_engine_is_bit_identical_on_transitive_closure():
         assert produced.new_atoms == expected.new_atoms
 
 
-def test_make_engine_threads_workers_through():
-    engine = make_engine(None, TGDS, workers=3)
-    assert isinstance(engine, SemiNaiveChaseEngine) and engine.workers == 3
-    configured = SemiNaiveChaseEngine(tgds=[], workers=2)
-    assert make_engine(configured, TGDS).workers == 2  # instance keeps its knob
-    assert make_engine(configured, TGDS, workers=0).workers == 0  # explicit off
-    with pytest.raises(ValueError):
-        make_engine("reference", TGDS, workers=2)
-
-
 @shm_only
 def test_keep_alive_pool_is_reused_across_runs_with_replica_resync():
     """PR-5 keep-alive: one engine, one pool, many chases.
@@ -331,12 +320,14 @@ def test_keep_alive_pool_is_reused_across_runs_with_replica_resync():
 def test_run_chase_closes_its_ephemeral_engine_pool():
     tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)")
     instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(8)))
-    engine = make_engine(None, tgds, max_stages=10, max_atoms=10_000, workers=2)
+    engine = SemiNaiveChaseEngine(
+        tgds=list(tgds), max_stages=10, max_atoms=10_000, workers=2
+    )
     result = engine.run(instance)
     assert engine._pool is not None and not engine._pool.closed
     engine.close()
     # The one-shot path (run_chase) must not leak worker processes: it closes
-    # the resolved engine in a finally, keep-alive or not.
+    # the engine it builds in a finally, keep-alive or not.
     import multiprocessing
 
     before = len(multiprocessing.active_children())

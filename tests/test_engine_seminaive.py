@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chase import chase, parse_tgds
-from repro.chase.chase import ChaseBudgetExceeded, ChaseEngine, iterate_chase
+from repro.chase.chase import ChaseBudgetExceeded, iterate_chase
 from repro.chase.trigger import frontier_key
 from repro.core.atoms import Atom
 from repro.core.builders import structure_from_text
@@ -14,13 +14,12 @@ from repro.engine import (
     compiled_delta_matches,
     head_satisfied_indexed,
     lazy_strategy,
-    make_engine,
     run_chase,
     semi_oblivious_strategy,
 )
 from repro.engine.strategies import resolve_strategy
-from repro.query import EvalContext
 
+from chase_bits import assert_bit_identical
 from delta_oracle import reference_delta_matches
 
 
@@ -181,6 +180,8 @@ def test_seminaive_respects_atom_budget_and_raise_flag():
     result = run_chase(tgds, instance, max_stages=500, max_atoms=20)
     assert not result.reached_fixpoint
     assert result.stages_run < 500
+    bounded = run_chase(tgds, instance, max_stages=4)
+    assert bounded.stages_run == 4 and not bounded.reached_fixpoint
     engine = SemiNaiveChaseEngine(
         tgds=tgds, max_stages=500, max_atoms=20, raise_on_budget=True
     )
@@ -269,108 +270,59 @@ def test_resolve_strategy_accepts_names_instances_and_rejects_junk():
 
 
 # ----------------------------------------------------------------------
-# Engine selection plumbing
+# run_chase and the paper modules against the reference chase
 # ----------------------------------------------------------------------
-def test_make_engine_resolves_names_and_instances():
-    tgds = parse_tgds("R(x,y) -> S(y,x)")
-    assert isinstance(make_engine(None, tgds), SemiNaiveChaseEngine)
-    assert isinstance(make_engine("seminaive", tgds), SemiNaiveChaseEngine)
-    reference = make_engine("reference", tgds)
-    assert not isinstance(reference, SemiNaiveChaseEngine)
-    with pytest.raises(ValueError):
-        make_engine("warp-drive", tgds)
+def test_rule_set_chase_matches_reference_bits():
+    from repro.greengraph.graph import initial_graph
+    from repro.separating.t_infinity import chase_t_infinity, t_infinity_rules
 
-
-@pytest.mark.parametrize("route", ["name", "instance"])
-@pytest.mark.parametrize(
-    "option, message",
-    [
-        pytest.param({"strategy": "oblivious"}, "firing strategies", id="strategy"),
-        pytest.param({"workers": 2}, "parallel discovery", id="workers"),
-        pytest.param(
-            {"stage_deadline": 5.0}, "stage deadlines", id="stage_deadline"
-        ),
-        pytest.param({"context": EvalContext()}, "index hand-off", id="context"),
-    ],
-)
-def test_reference_engine_rejects_semi_naive_options(route, option, message):
-    tgds = parse_tgds("R(x,y) -> R(y,x)")
-    engine = "reference" if route == "name" else ChaseEngine(tgds=[])
-    with pytest.raises(ValueError, match=message):
-        make_engine(engine, tgds, **option)
-    # The no-op values stay accepted for config-driven callers.
-    for accepted in (
-        {"workers": 0},
-        {"workers": 1},
-        {"stage_deadline": None},
-    ):
-        assert type(make_engine(engine, tgds, **accepted)) is ChaseEngine
-
-
-def test_make_engine_rebinds_prebuilt_instances_to_the_call_site_workload():
-    tgds = parse_tgds("R(x,y) -> S(y,x)")
-    prebuilt = SemiNaiveChaseEngine(
-        tgds=[], max_stages=None, raise_on_budget=True
+    produced = chase_t_infinity(40).result
+    expected = chase(
+        t_infinity_rules().tgds(),
+        initial_graph().structure(),
+        max_stages=40,
+        max_atoms=50_000,
     )
-    resolved = make_engine(prebuilt, tgds, max_stages=7, max_atoms=99)
-    # The instance contributes its kind and configuration, the call site its
-    # workload and safety budgets — an unbounded prebuilt engine must not
-    # silently drop a wrapper's max_stages/max_atoms.
-    assert resolved.tgds == tgds
-    assert resolved.max_stages == 7
-    assert resolved.max_atoms == 99
-    assert resolved.raise_on_budget is True
-    # Budgets are intersected: an instance's own tighter bound also survives
-    # a call site that passes the default None.
-    bounded = SemiNaiveChaseEngine(tgds=[], max_stages=5, max_atoms=100)
-    resolved = make_engine(bounded, tgds, max_stages=None, max_atoms=250)
-    assert resolved.max_stages == 5
-    assert resolved.max_atoms == 100
-    # A non-terminating rule set stays bounded through a prebuilt engine.
-    looping = parse_tgds("R(x,y) -> R(y,z)")
-    result = run_chase(
-        looping,
-        structure_from_text("R(1,2)"),
-        max_stages=4,
-        engine=SemiNaiveChaseEngine(tgds=[]),
-    )
-    assert result.stages_run == 4
-
-
-def test_rule_set_chase_accepts_engine_parameter():
-    from repro.separating.t_infinity import chase_t_infinity
-
-    fast = chase_t_infinity(6)
-    slow = chase_t_infinity(6, engine="reference")
-    assert fast.graph().structure().atoms() == slow.graph().structure().atoms()
+    assert expected.stages_run == 40
+    assert_bit_identical(expected, produced, "T∞ depth 40")
 
 
 def test_countermodel_engines_agree():
-    from repro.rainworm.examples import immediately_halting_machine
     from repro.rainworm.countermodel import build_countermodel
+    from repro.rainworm.examples import halting_after_two_cycles_machine
+    from repro.separating.grid_rules import grid_rules
 
-    fast = build_countermodel(
-        immediately_halting_machine(), grid_stages=3, max_atoms=4_000
+    report = build_countermodel(
+        halting_after_two_cycles_machine(), grid_stages=3, max_atoms=4_000
     )
-    slow = build_countermodel(
-        immediately_halting_machine(),
-        grid_stages=3,
-        max_atoms=4_000,
-        engine="reference",
-    )
-    assert fast.is_valid == slow.is_valid
-    assert (
-        fast.with_grids.structure().atoms() == slow.with_grids.structure().atoms()
-    )
+    start = report.countermodel.structure()
+    expected = chase(grid_rules().tgds(), start, max_stages=3, max_atoms=4_000)
+    # The grid phase must actually chase, or this compares nothing.
+    assert expected.stages_run == 3
+    produced = grid_rules().chase(report.countermodel, max_stages=3, max_atoms=4_000)
+    assert_bit_identical(expected, produced.result, "counter-model grid chase")
+    assert report.with_grids.structure().atoms() == expected.structure.atoms()
+    assert report.is_valid
 
 
 def test_late_chase_engines_agree():
     from repro.fo.late_chase import chase_fragments
+    from repro.greengraph.precompile import precompile
+    from repro.separating.t_infinity import t_infinity_rules
+    from repro.spiders.ideal import FULL_GREEN
+    from repro.swarm.swarm import Swarm
+    from repro.fo.q_infinity import ANTENNA_B, TAIL_A
 
-    fast = chase_fragments(2)
-    slow = chase_fragments(2, engine="reference")
-    assert fast.early.atoms() == slow.early.atoms()
-    assert fast.late.atoms() == slow.late.atoms()
+    produced = chase_fragments(2).result
+    seed = Swarm(name="swarm-seed")
+    seed.add_edge(FULL_GREEN, TAIL_A, ANTENNA_B)
+    expected = chase(
+        precompile(t_infinity_rules()).tgds(),
+        seed.structure(),
+        max_stages=4,
+        max_atoms=60_000,
+    )
+    assert_bit_identical(expected, produced, "late chase i=2")
 
 
 def test_simulator_chase_cross_validation():

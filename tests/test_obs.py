@@ -38,6 +38,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_cli
 from repro.query.context import EvalContext
 
+from chase_bits import assert_bit_identical
 from executors import pinned_executor
 
 TC_RULES = ("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
@@ -66,17 +67,6 @@ def _chain(length):
     return structure_from_text(
         ", ".join(f"R({i},{i + 1})" for i in range(length))
     )
-
-
-def _assert_bit_identical(result, reference):
-    assert result.structure.atoms() == reference.structure.atoms()
-    assert result.structure.domain() == reference.structure.domain()
-    assert result.stages_run == reference.stages_run
-    assert result.reached_fixpoint == reference.reached_fixpoint
-    assert len(result.provenance) == len(reference.provenance)
-    for produced, expected in zip(result.provenance, reference.provenance):
-        assert produced.trigger == expected.trigger
-        assert produced.new_atoms == expected.new_atoms
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +372,7 @@ def test_traced_and_metered_chase_is_bit_identical_serial():
     obs.disable_tracing()
     obs.disable()
 
-    _assert_bit_identical(traced, baseline)
+    assert_bit_identical(baseline, traced)
     # The three ledgers agree: trace summary == stats == provenance record.
     stats = traced.stats
     summary = summarize_trace(lines)
@@ -415,7 +405,7 @@ def test_traced_chase_is_bit_identical_with_two_workers():
     obs.disable_tracing()
     obs.disable()
 
-    _assert_bit_identical(traced, baseline)
+    assert_bit_identical(baseline, traced)
     summary = summarize_trace(lines)
     assert summary.fired == len(traced.provenance) == traced.stats.fired
     # The parallel layer leaves its own fingerprints: one discover span per

@@ -39,6 +39,8 @@ from repro.testing.faults import (
     tamper_payload,
 )
 
+from chase_bits import assert_bit_identical
+
 TGDS = parse_tgds(
     "R(x,y), R(y,z) -> S(x,z)",
     "S(x,y), R(y,z) -> S(x,z)",
@@ -76,22 +78,6 @@ def fresh_instance():
     return structure_from_text(INSTANCE_TEXT)
 
 
-def assert_bit_identical(result, serial):
-    assert result.structure.atoms() == serial.structure.atoms()
-    assert result.structure.domain() == serial.structure.domain()
-    assert result.stages_run == serial.stages_run
-    assert len(result.stage_snapshots) == len(serial.stage_snapshots)
-    for expected, produced in zip(serial.stage_snapshots, result.stage_snapshots):
-        assert produced.atoms() == expected.atoms()
-        assert produced.domain() == expected.domain()
-    assert len(result.provenance) == len(serial.provenance)
-    for expected, produced in zip(serial.provenance, result.provenance):
-        assert produced.stage == expected.stage
-        assert produced.trigger == expected.trigger
-        assert produced.new_atoms == expected.new_atoms
-        assert produced.new_elements == expected.new_elements
-
-
 def assert_no_leaks():
     assert multiprocessing.active_children() == []
 
@@ -110,7 +96,7 @@ def test_single_fault_recovers_bit_identical(kind):
     result = run_chase(
         TGDS, fresh_instance(), 50, 50_000, workers=2, stage_deadline=DEADLINE
     )
-    assert_bit_identical(result, serial)
+    assert_bit_identical(serial, result)
     assert result.stats.faults == ONE_FAULT
     assert_no_leaks()
 
@@ -130,7 +116,7 @@ def test_hung_worker_is_terminated_without_waiting():
         TGDS, fresh_instance(), 50, 50_000, workers=2, stage_deadline=deadline
     )
     elapsed = time.monotonic() - started
-    assert_bit_identical(result, serial)
+    assert_bit_identical(serial, result)
     assert result.stats.faults == ONE_FAULT
     assert elapsed < deadline + 3, elapsed
     assert_no_leaks()
@@ -159,7 +145,7 @@ def test_seeded_fault_schedule_completes_or_raises_typed(seed):
     result = run_chase(
         TGDS, fresh_instance(), 50, 50_000, workers=2, stage_deadline=2.0
     )
-    assert_bit_identical(result, serial)
+    assert_bit_identical(serial, result)
     ledger = result.stats.faults
     assert ledger["retried"] == 0
     assert ledger["detected"] == ledger["injected"]
@@ -184,13 +170,13 @@ def test_degraded_run_rebuilds_pool_for_the_next_run():
             FaultPlan(faults=[Fault(kind="crash", stage=2, worker=1, task=0)])
         )
         degraded = engine.run(fresh_instance())
-        assert_bit_identical(degraded, serial)
+        assert_bit_identical(serial, degraded)
         assert degraded.stats.faults == ONE_FAULT
         assert engine._pool is None, "a fault closes (and drops) the pool"
         clear_fault_plan()
         recovered = engine.run(fresh_instance())
         assert engine._pool is not None and not engine._pool.closed
-        assert_bit_identical(recovered, serial)
+        assert_bit_identical(serial, recovered)
         assert recovered.stats.faults == NO_FAULT
     assert_no_leaks()
 
@@ -210,19 +196,19 @@ def test_keep_alive_pool_survives_a_recovered_fault():
                                     task=0)])
         )
         faulted = engine.run(fresh_instance())
-        assert_bit_identical(faulted, serial)
+        assert_bit_identical(serial, faulted)
         assert faulted.stats.faults == ONE_FAULT
         clear_fault_plan()
         rebuilt = engine.run(fresh_instance())
         pool = engine._pool
         assert pool is not None and not pool.closed
-        assert_bit_identical(rebuilt, serial)
+        assert_bit_identical(serial, rebuilt)
         assert rebuilt.stats.faults == NO_FAULT
         # Run N+2 on the same keep-alive engine: same pool, clean ledger.
         clean = engine.run(fresh_instance())
         assert engine._pool is pool, "the rebuilt pool must be reused"
         assert not pool.closed
-        assert_bit_identical(clean, serial)
+        assert_bit_identical(serial, clean)
         assert clean.stats.faults == NO_FAULT
     assert engine._pool is None
     assert_no_leaks()

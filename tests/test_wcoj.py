@@ -38,6 +38,7 @@ from repro.spiders.ideal import IdealSpider, SpiderUniverse
 from repro.spiders.queries import spider_query_matches, unary_query_body
 from repro.spiders.algebra import SpiderQuerySpec
 
+from chase_bits import assert_bit_identical
 from delta_oracle import reference_delta_matches
 from executors import EXECUTORS, pinned_executor
 
@@ -356,27 +357,16 @@ def _cyclic_rules_and_instance(seed):
     return tgds, Structure(sorted(facts, key=repr))
 
 
-def assert_chase_bits_equal(expected, produced, label):
-    assert produced.stages_run == expected.stages_run, label
-    assert produced.reached_fixpoint == expected.reached_fixpoint, label
-    assert produced.structure.atoms() == expected.structure.atoms(), label
-    assert produced.structure.domain() == expected.structure.domain(), label
-    assert len(produced.provenance) == len(expected.provenance), label
-    for expected_step, produced_step in zip(expected.provenance, produced.provenance):
-        assert produced_step.trigger == expected_step.trigger, label
-        assert produced_step.new_atoms == expected_step.new_atoms, label
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_chase_is_bit_identical_under_wcoj_matching(seed):
     tgds, instance = _cyclic_rules_and_instance(seed)
     reference = chase(tgds, instance, 3, 400)
-    assert_chase_bits_equal(
+    assert_bit_identical(
         reference, run_chase(tgds, instance, 3, 400), f"policy seed={seed}"
     )
     with pinned_executor("wcoj"):
         produced = run_chase(tgds, instance, 3, 400)
-    assert_chase_bits_equal(reference, produced, f"wcoj seed={seed}")
+    assert_bit_identical(reference, produced, f"wcoj seed={seed}")
 
 
 def test_chase_is_bit_identical_under_wcoj_with_workers():
@@ -384,7 +374,7 @@ def test_chase_is_bit_identical_under_wcoj_with_workers():
     reference = chase(tgds, instance, 3, 400)
     with pinned_executor("wcoj"):  # before the pool forks
         produced = run_chase(tgds, instance, 3, 400, workers=2)
-    assert_chase_bits_equal(reference, produced, "workers=2 wcoj")
+    assert_bit_identical(reference, produced, "workers=2 wcoj")
 
 
 @pytest.mark.parametrize("workers", (0, 2))
@@ -395,7 +385,7 @@ def test_chase_is_bit_identical_under_every_pinned_executor(name, workers):
     reference = chase(tgds, instance, 3, 400)
     with pinned_executor(name):
         produced = run_chase(tgds, instance, 3, 400, workers=workers)
-    assert_chase_bits_equal(reference, produced, f"{name} workers={workers}")
+    assert_bit_identical(reference, produced, f"{name} workers={workers}")
 
 
 def test_wcoj_state_does_not_survive_watermark_preserving_rebuild():
