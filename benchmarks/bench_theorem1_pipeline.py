@@ -5,6 +5,7 @@ import pytest
 from repro.rainworm import (
     forever_creeping_machine,
     halting_after_two_cycles_machine,
+    halting_example_machine,
     immediately_halting_machine,
 )
 from repro.reduction import (
@@ -37,15 +38,22 @@ def test_reduction_instance_sizes(benchmark, name, report_lines):
 
 
 @pytest.mark.experiment("E12")
-def test_halting_direction(benchmark, report_lines):
+@pytest.mark.parametrize(
+    "name", ["halt-after-two-cycles", "halting-after-1-tm-steps"]
+)
+def test_halting_direction(benchmark, name, report_lines):
+    machine = {
+        "halt-after-two-cycles": halting_after_two_cycles_machine,
+        "halting-after-1-tm-steps": lambda: halting_example_machine(tm_steps=1),
+    }[name]()
     evidence = benchmark.pedantic(
         halting_direction_evidence,
-        args=(halting_after_two_cycles_machine(),),
+        args=(machine,),
         iterations=1,
         rounds=1,
     )
     report_lines(
-        "[E12/Thm1] halting machine ⇒ finite counter-model valid "
+        f"[E12/Thm1] machine={name:24s} halting ⇒ finite counter-model valid "
         f"(Q does NOT finitely determine Q0): {evidence.supports_lemma24}"
     )
     assert evidence.supports_lemma24

@@ -18,6 +18,7 @@ set (they are consumed by Precompilation).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -241,8 +242,16 @@ class GreenGraphChase:
         return self.result.reached_fixpoint
 
     def first_stage_with_one_two_pattern(self) -> Optional[int]:
-        """The first stage whose graph contains a 1-2 pattern, if any."""
-        for index in range(len(self.result.stage_snapshots)):
-            if self.stage_graph(index).contains_one_two_pattern():
-                return index
-        return None
+        """The first stage whose graph contains a 1-2 pattern, if any.
+
+        A chase never removes atoms, so once a stage contains the pattern
+        every later stage does too: bisection builds O(log stages) of the
+        lazy stage snapshots instead of all of them.
+        """
+        stages = len(self.result.stage_snapshots)
+        first = bisect_left(
+            range(stages),
+            True,
+            key=lambda index: self.stage_graph(index).contains_one_two_pattern(),
+        )
+        return first if first < stages else None

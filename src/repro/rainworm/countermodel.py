@@ -16,17 +16,27 @@ the general case, or the existing constants ``a``/``b`` when the missing
 edge is the ∅ edge (case (ii) of the procedure).  In effect the procedure
 re-creates the computation *backwards* from its final configuration, which
 is why it terminates after ``k_M + 1`` rounds (Lemmas 40–43).
+
+Conditions ♠ and ♥ are the body and the head of the rule's right-to-left
+TGD, evaluated on the query runtime (see :func:`reverse_construction`); the
+grid phase is a chase of ``T□`` through ``run_chase``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..greengraph.graph import GreenGraph, VERTEX_A, VERTEX_B, initial_graph
 from ..greengraph.labels import EMPTY
-from ..greengraph.rules import GreenGraphRule, GreenGraphRuleSet, RuleKind
+from ..greengraph.rules import (
+    GreenGraphChase,
+    GreenGraphRule,
+    GreenGraphRuleSet,
+    RuleKind,
+)
+from ..query import exists_match, get_context, iter_matches
 from ..separating.grid_rules import grid_rules
 from .configuration import Configuration
 from .machine import RainwormMachine
@@ -58,44 +68,6 @@ def configuration_graph(configuration: Configuration, name: str = "M0") -> Green
     return graph
 
 
-def _right_match_exists(
-    graph: GreenGraph, rule: GreenGraphRule, x: object, x_prime: object
-) -> bool:
-    c_prime, d_prime = rule.right
-    if rule.kind is RuleKind.AND:
-        targets = {edge.target for edge in graph.edges_with_label(c_prime) if edge.source == x}
-        return any(
-            edge.target in targets
-            for edge in graph.edges_with_label(d_prime)
-            if edge.source == x_prime
-        )
-    sources = {edge.source for edge in graph.edges_with_label(c_prime) if edge.target == x}
-    return any(
-        edge.source in sources
-        for edge in graph.edges_with_label(d_prime)
-        if edge.target == x_prime
-    )
-
-
-def _left_match_exists(
-    graph: GreenGraph, rule: GreenGraphRule, x: object, x_prime: object
-) -> bool:
-    c, d = rule.left
-    if rule.kind is RuleKind.AND:
-        targets = {edge.target for edge in graph.edges_with_label(c) if edge.source == x}
-        return any(
-            edge.target in targets
-            for edge in graph.edges_with_label(d)
-            if edge.source == x_prime
-        )
-    sources = {edge.source for edge in graph.edges_with_label(c) if edge.target == x}
-    return any(
-        edge.source in sources
-        for edge in graph.edges_with_label(d)
-        if edge.target == x_prime
-    )
-
-
 def _add_left_witnesses(
     graph: GreenGraph,
     rule: GreenGraphRule,
@@ -125,18 +97,34 @@ def reverse_construction(
     rules: GreenGraphRuleSet,
     rounds: int,
 ) -> GreenGraph:
-    """The bounded right-to-left saturation of Section VIII.E."""
+    """The bounded right-to-left saturation of Section VIII.E.
+
+    Per rule and round, the TGD body's matches give the pairs ``(x, x′)``
+    with ♠, and a head probe on each pair tests ♥.  Both run on the graph's
+    own index cut at the stamp watermark taken when the round starts, so a
+    round sees the graph as it was then although witnesses are appended to
+    it as it goes, with no per-round copy.
+    """
     current = start.copy(name=f"{start.name}·reverse")
+    index = get_context().index_for(current.structure())
+    reverse = []
+    for rule in rules:
+        tgd = rule.tgds()[1]
+        # The frontier is (x, x′) for &·· rules and (y, y′) for /·· rules;
+        # name order puts the unprimed variable first.
+        frontier = sorted(tgd.frontier(), key=lambda var: var.name)
+        reverse.append((rule, tgd, frontier))
     counter = itertools.count()
     for _ in range(rounds):
-        snapshot = current.copy()
-        vertices = sorted(snapshot.vertices(), key=repr)
+        hi = index.watermark()
         added = False
-        for rule in rules:
-            for x, x_prime in itertools.product(vertices, repeat=2):
-                if not _right_match_exists(snapshot, rule, x, x_prime):
-                    continue
-                if _left_match_exists(snapshot, rule, x, x_prime):
+        for rule, tgd, (u, v) in reverse:
+            pairs = {
+                (match[u], match[v])
+                for match in iter_matches(tgd.body, index, hi=hi)
+            }
+            for x, x_prime in sorted(pairs, key=lambda pair: tuple(map(repr, pair))):
+                if exists_match(tgd.head, index, {u: x, v: x_prime}, hi=hi):
                     continue
                 _add_left_witnesses(current, rule, x, x_prime, counter)
                 added = True
@@ -156,8 +144,13 @@ class CountermodelReport:
     countermodel: GreenGraph
     satisfies_machine_rules: bool
     beta_edges_only_initial: bool
-    with_grids: Optional[GreenGraph] = None
+    grid_chase: Optional[GreenGraphChase] = None
     grid_pattern_free: Optional[bool] = None
+
+    @property
+    def with_grids(self) -> Optional[GreenGraph]:
+        """``M̄`` after the grid phase, or ``None`` when it was skipped."""
+        return None if self.grid_chase is None else self.grid_chase.graph()
 
     @property
     def is_valid(self) -> bool:
@@ -188,13 +181,12 @@ def build_countermodel(
     countermodel = reverse_construction(base, rules, rounds=steps + extra_rounds)
     satisfied = rules.is_satisfied_by(countermodel)
     beta_ok = _beta_edges_only_initial(base, countermodel)
-    with_grids = None
+    grid_chase = None
     pattern_free = None
     if add_grids:
         grid_chase = grid_rules().chase(
             countermodel, max_stages=grid_stages, max_atoms=max_atoms
         )
-        with_grids = grid_chase.graph()
         pattern_free = grid_chase.first_stage_with_one_two_pattern() is None
     return CountermodelReport(
         machine=machine,
@@ -204,7 +196,7 @@ def build_countermodel(
         countermodel=countermodel,
         satisfies_machine_rules=satisfied,
         beta_edges_only_initial=beta_ok,
-        with_grids=with_grids,
+        grid_chase=grid_chase,
         grid_pattern_free=pattern_free,
     )
 

@@ -18,6 +18,7 @@ from repro.separating import (
     longest_alpha_beta_path_length,
     model_prefix,
     observed_words,
+    pattern_stage_by_path_length,
     separating_rules,
     t_infinity_rules,
     words_match_paper,
@@ -88,6 +89,16 @@ def test_grid_on_single_path_stays_pattern_free():
 def test_longer_difference_still_produces_pattern():
     report = build_grid_on_merged_paths(4, 2, max_stages=16)
     assert report.has_pattern
+
+
+def test_pattern_stage_on_merged_paths_is_the_first_pattern_stage():
+    stages = pattern_stage_by_path_length(((3, 2), (4, 2), (5, 3)))
+    assert stages == {(3, 2): 7, (4, 2): 9, (5, 3): 13}
+    # The stage is found by bisection; check it against the stage snapshots.
+    chase = build_grid_on_merged_paths(3, 2).chase
+    before, at = (chase.stage_graph(k).contains_one_two_pattern() for k in (6, 7))
+    assert (before, at) == (False, True)
+    assert model_prefix(12).pattern_stage is None
 
 
 def test_model_prefix_of_full_rule_set_is_pattern_free():
