@@ -118,11 +118,11 @@ def bounded_run_report(
 ) -> BoundedRunReport:
     """Run the chase with bounds and report growth per stage."""
     result = chase(tgds, instance, max_stages=max_stages, max_atoms=max_atoms)
-    sizes = tuple(len(s.atoms()) for s in result.stage_snapshots)
+    sizes = tuple(len(s) for s in result.stage_snapshots)
     return BoundedRunReport(
         reached_fixpoint=result.reached_fixpoint,
         stages_run=result.stages_run,
-        atoms_final=len(result.structure.atoms()),
+        atoms_final=len(result.structure),
         atoms_per_stage=sizes,
     )
 

@@ -71,7 +71,6 @@ class Structure:
         self._signature = signature
         self._atoms: Set[Atom] = set()
         self._by_predicate: Dict[str, Set[Atom]] = defaultdict(set)
-        self._by_element: Dict[object, Set[Atom]] = defaultdict(set)
         self._domain: Set[object] = set()
         self._listeners: List["StructureListener"] = []
         self._generation = 0
@@ -142,8 +141,8 @@ class Structure:
         return element in self._domain
 
     def atoms_containing(self, element: object) -> FrozenSet[Atom]:
-        """All atoms having *element* among their arguments."""
-        return frozenset(self._by_element.get(element, ()))
+        """All atoms having *element* among their arguments (a scan)."""
+        return frozenset(atom for atom in self._atoms if element in atom.args)
 
     def constants(self) -> FrozenSet[Constant]:
         """The constants present in the domain."""
@@ -185,9 +184,7 @@ class Structure:
         self._generation += 1
         self._atoms.add(atom)
         self._by_predicate[atom.predicate].add(atom)
-        for arg in atom.args:
-            self._domain.add(arg)
-            self._by_element[arg].add(atom)
+        self._domain.update(atom.args)
         if self._listeners:
             for listener in self._listeners:
                 listener.atom_added(atom)
@@ -216,8 +213,6 @@ class Structure:
         self._generation += 1
         self._atoms.discard(atom)
         self._by_predicate[atom.predicate].discard(atom)
-        for arg in atom.args:
-            self._by_element[arg].discard(atom)
         if self._listeners:
             for listener in self._listeners:
                 listener.atom_removed(atom)
@@ -264,9 +259,6 @@ class Structure:
         cloned._by_predicate = defaultdict(set)
         for pred, atoms in self._by_predicate.items():
             cloned._by_predicate[pred] = set(atoms)
-        cloned._by_element = defaultdict(set)
-        for element, atoms in self._by_element.items():
-            cloned._by_element[element] = set(atoms)
         cloned._domain = set(self._domain)
         return cloned
 

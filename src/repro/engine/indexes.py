@@ -33,16 +33,17 @@ predicate, enforced by the schema layer), so the compiled executor
 of chasing per-row tuples, and the same columns can be re-bound onto
 ``multiprocessing.shared_memory`` views on replica indexes (zero-copy
 attach; see :mod:`repro.engine.shm` and :meth:`AtomIndex.apply_shared`).
-The object-level API below (``atoms``, ``count``, …) decodes atoms for the
-engine, the tests and the reference-oracle comparisons.
+The columns are the index's only copy of the facts: the object-level API
+below (``atoms``, ``atoms_with_value``) decodes rows through the interner on
+demand, the same way on engine-owned indexes and replicas, for the tests and
+the reference-oracle comparisons.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
 from ..core.structure import Structure, StructureListener
@@ -80,57 +81,26 @@ class _Stamped:
         return self.cut(before)
 
 
-class _LazyAtoms:
-    """Sequence view decoding shared-posting atoms on demand.
-
-    Replica indexes bound to shared-memory segments have no atom objects of
-    their own — only int columns.  The object-level API still hands out
-    ``posting.atoms``; this view satisfies it by decoding through the
-    replica's interner per offset (cached, so repeated access keeps object
-    identity within the process).
-    """
-
-    __slots__ = ("_posting",)
-
-    def __init__(self, posting: "_PostingList") -> None:
-        self._posting = posting
-
-    def __len__(self) -> int:
-        return self._posting.length
-
-    def __getitem__(self, offset: int) -> Atom:
-        return self._posting.atom_at(offset)
-
-    def __iter__(self) -> Iterator[Atom]:
-        posting = self._posting
-        return (posting.atom_at(offset) for offset in range(posting.length))
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (list, _LazyAtoms)) else NotImplemented
-
-
 class _PostingList(_Stamped):
     """Append-only atoms of one predicate, stored as flat int columns.
 
     ``stamps`` and ``cols[j]`` (one per argument position; arity is fixed
     at first append) are parallel ``array('q')`` columns — entry ``i`` of
-    every column describes the same fact.  The compiled executors walk the
-    columns by offset; atom *objects* live in a parallel list on
-    engine-owned indexes (``atoms[i]``), or are decoded lazily through the
-    interner on shared-memory replicas (:meth:`bind_shared` re-points the
-    columns at ``memoryview`` slices of an attached segment, sliced to the
-    valid logical length so ``len``/``bisect`` keep working unchanged).
+    every column describes the same fact.  The columns are the only copy
+    of the facts: the compiled executors walk them by offset, and the
+    object-level API of :class:`AtomIndex` decodes a row through the
+    interner when it needs an atom.  On shared-memory replicas
+    :meth:`bind_shared` re-points the columns at ``memoryview`` slices of
+    an attached segment, sliced to the valid logical length so
+    ``len``/``bisect`` keep working unchanged.
     """
 
-    __slots__ = ("cols", "_atoms", "_arity", "_decode", "_cache")
+    __slots__ = ("cols", "_arity")
 
     def __init__(self) -> None:
         super().__init__()
         self.cols: Tuple[Sequence[int], ...] = ()
-        self._atoms: Optional[List[Atom]] = []
         self._arity = -1
-        self._decode: Optional[Callable[[Tuple[int, ...]], Atom]] = None
-        self._cache: Optional[Dict[int, Atom]] = None
 
     # -- shape ----------------------------------------------------------
     @property
@@ -142,14 +112,8 @@ class _PostingList(_Stamped):
     def arity(self) -> int:
         return self._arity
 
-    @property
-    def atoms(self) -> Sequence[Atom]:
-        if self._atoms is not None:
-            return self._atoms
-        return _LazyAtoms(self)
-
     # -- engine-side append --------------------------------------------
-    def append(self, atom: Atom, stamp: int, row: Tuple[int, ...]) -> None:
+    def append(self, stamp: int, row: Tuple[int, ...]) -> None:
         if self._arity != len(row):
             if self._arity >= 0:
                 raise ValueError(
@@ -157,20 +121,12 @@ class _PostingList(_Stamped):
                 )
             self._arity = len(row)
             self.cols = tuple(array("q") for _ in row)
-        self._atoms.append(atom)
         self.stamps.append(stamp)
         for column, vid in zip(self.cols, row):
             column.append(vid)
 
     # -- shared-memory re-binding (replica side) -----------------------
-    def bind_shared(
-        self,
-        view,
-        capacity: int,
-        arity: int,
-        length: int,
-        decode: Callable[[Tuple[int, ...]], Atom],
-    ) -> None:
+    def bind_shared(self, view, capacity: int, arity: int, length: int) -> None:
         """Re-point the columns at a segment's ``'q'`` view.
 
         ``view`` holds ``1 + arity`` regions of *capacity* elements each
@@ -178,8 +134,7 @@ class _PostingList(_Stamped):
         valid, so the bound columns are sliced to exactly that — the rest
         of the API needs no shared/local distinction.  Called again after
         every sync (longer length, possibly a different segment after a
-        grow); previously decoded atoms stay cached because offsets are
-        stable under both.
+        grow); offsets are stable under both.
         """
         self.stamps = view[0:length]
         self.cols = tuple(
@@ -187,32 +142,11 @@ class _PostingList(_Stamped):
             for position in range(arity)
         )
         self._arity = arity
-        self._atoms = None
-        self._decode = decode
-        if self._cache is None:
-            self._cache = {}
 
     # -- row access -----------------------------------------------------
     def row(self, offset: int) -> Tuple[int, ...]:
         """The interned argument row at *offset* (tuple view of the columns)."""
         return tuple(column[offset] for column in self.cols)
-
-    def atom_at(self, offset: int) -> Atom:
-        """The atom object at *offset*, decoding lazily on shared replicas."""
-        if self._atoms is not None:
-            return self._atoms[offset]
-        if offset >= len(self.stamps) or offset < 0:
-            raise IndexError(offset)
-        atom = self._cache.get(offset)
-        if atom is None:
-            atom = self._cache[offset] = self._decode(self.row(offset))
-        return atom
-
-    def iter_range(self, lo: Optional[int], hi: Optional[int]) -> Iterator[Atom]:
-        """Atoms with ``lo ≤ stamp < hi`` (open bounds when ``None``)."""
-        start, stop = self.bounds(lo, hi)
-        for position in range(start, stop):
-            yield self.atom_at(position)
 
 
 class _RowRefs(_Stamped):
@@ -344,7 +278,7 @@ class AtomIndex(StructureListener):
         if posting is None:
             posting = self._by_predicate[pid] = _PostingList()
         offset = posting.length
-        posting.append(atom, stamp, row)
+        posting.append(stamp, row)
         by_position = self._by_position
         for position, vid in enumerate(row):
             key = (pid, position, vid)
@@ -386,7 +320,6 @@ class AtomIndex(StructureListener):
         self._interner.install_predicates(sync.predicates, sync.predicate_base)
         by_position = self._by_position
         live_names = set()
-        decode_atom = self._interner.decode_atom
         for entry in sync.directory:
             live_names.add(entry.name)
             view = cache.view(entry.name)
@@ -394,13 +327,7 @@ class AtomIndex(StructureListener):
             if posting is None:
                 posting = self._by_predicate[entry.pid] = _PostingList()
             known = posting.length
-            posting.bind_shared(
-                view,
-                entry.capacity,
-                entry.arity,
-                entry.length,
-                partial(decode_atom, entry.pid),
-            )
+            posting.bind_shared(view, entry.capacity, entry.arity, entry.length)
             stamps, cols = posting.stamps, posting.cols
             for offset in range(known, entry.length):
                 stamp = stamps[offset]
@@ -478,10 +405,12 @@ class AtomIndex(StructureListener):
         hi: Optional[int] = None,
     ) -> Iterator[Atom]:
         """Atoms with *predicate* whose stamp is in ``[lo, hi)``."""
-        posting = self.posting(self._interner.predicate_id(predicate))
+        pid = self._interner.predicate_id(predicate)
+        posting = self.posting(pid)
         if posting is None:
             return iter(())
-        return posting.iter_range(lo, hi)
+        start, stop = posting.bounds(lo, hi)
+        return self._decode(pid, posting, range(start, stop))
 
     def atoms_with_value(
         self,
@@ -498,9 +427,19 @@ class AtomIndex(StructureListener):
         slot = self._by_position.get((pid, position, vid))
         if slot is None:
             return iter(())
-        posting = self._by_predicate[pid]
-        stop = slot.cut(hi)
-        return (posting.atom_at(slot.offsets[i]) for i in range(stop))
+        offsets = slot.offsets[: slot.cut(hi)]
+        return self._decode(pid, self._by_predicate[pid], offsets)
+
+    def _decode(
+        self, pid: int, posting: _PostingList, offsets: Iterable[int]
+    ) -> Iterator[Atom]:
+        """The atoms at *offsets* of *posting*, decoded through the interner.
+
+        This is the one decode path: engine-owned indexes and shared-memory
+        replicas hold the same int columns, so both decode the same way.
+        """
+        decode_atom = self._interner.decode_atom
+        return (decode_atom(pid, posting.row(offset)) for offset in offsets)
 
     def count(self, predicate: str, hi: Optional[int] = None) -> int:
         """Number of *predicate* atoms with stamp < *hi*."""

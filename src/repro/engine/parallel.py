@@ -409,7 +409,6 @@ class ParallelDiscovery:
         self,
         tgds: Sequence[TGD],
         workers: int,
-        start_method: Optional[str] = None,
         min_window_split: int = MIN_WINDOW_SPLIT,
         shm_initial_capacity: int = DEFAULT_INITIAL_CAPACITY,
     ) -> None:
@@ -425,10 +424,10 @@ class ParallelDiscovery:
         self._preinterned = False
         self._shm_initial_capacity = shm_initial_capacity
         self._store = None
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = next(m for m in _START_METHODS if m in available)
-        self._context = multiprocessing.get_context(start_method)
+        available = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            next(m for m in _START_METHODS if m in available)
+        )
         self._conns = []
         self._processes = []
         try:

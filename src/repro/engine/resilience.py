@@ -82,13 +82,10 @@ class SupervisedDiscovery:
         #: True once the run fell back to serial discovery for good.
         self.degraded = False
         #: The fault ledger: mirrors the trace events one-for-one, and is
-        #: copied onto ``ChaseRunStats.faults`` at run end.  ``retried``
-        #: always reads 0; it stays until the repository benchmark stops
-        #: reporting it.
+        #: copied onto ``ChaseRunStats.faults`` at run end.
         self.counts: Dict[str, int] = {
             "injected": 0,
             "detected": 0,
-            "retried": 0,
             "degraded": 0,
         }
 

@@ -147,27 +147,13 @@ class GreenGraph:
         for atom in self._structure.atoms_with_predicate(edge_predicate(name)):
             yield Edge(name, atom.args[0], atom.args[1])
 
-    def out_edges(self, vertex: object) -> Iterator[Edge]:
-        """All edges leaving *vertex*."""
-        for atom in self._structure.atoms_containing(vertex):
-            label = label_of_predicate(atom.predicate)
-            if label is not None and atom.args[0] == vertex:
-                yield Edge(label, atom.args[0], atom.args[1])
-
-    def in_edges(self, vertex: object) -> Iterator[Edge]:
-        """All edges entering *vertex*."""
-        for atom in self._structure.atoms_containing(vertex):
-            label = label_of_predicate(atom.predicate)
-            if label is not None and atom.args[1] == vertex:
-                yield Edge(label, atom.args[0], atom.args[1])
-
     def vertices(self) -> FrozenSet[object]:
         """All vertices (the structure domain)."""
         return self._structure.domain()
 
     def edge_count(self) -> int:
         """Number of edges."""
-        return len(self._structure.atoms())
+        return len(self._structure)
 
     def __len__(self) -> int:
         return self.edge_count()

@@ -128,7 +128,7 @@ def check_unrestricted_determinacy(
     return DeterminacyReport(
         Verdict.UNKNOWN,
         detail=f"no red(Q0) within {result.stages_run} stages "
-        f"({len(result.structure.atoms())} atoms); chase did not terminate",
+        f"({len(result.structure)} atoms); chase did not terminate",
     )
 
 

@@ -78,8 +78,8 @@ class ChaseRunStats:
     #: Index shape at the end: watermark (atoms stamped) / rebuilds.
     index: Dict[str, int] = field(default_factory=dict)
     #: Fault-tolerance ledger of the run's supervised parallel discovery
-    #: (:mod:`repro.engine.resilience`): injected / detected / retried /
-    #: degraded (``retried`` always 0).  Empty for serial runs.  CI asserts
+    #: (:mod:`repro.engine.resilience`): injected / detected / degraded.
+    #: Empty for serial runs.  CI asserts
     #: these equal the trace summariser's ``parallel.fault.*`` event counts —
     #: the two accountings must never drift.
     faults: Dict[str, int] = field(default_factory=dict)
@@ -363,12 +363,10 @@ class TraceSummary:
     shm_grown_bytes: int = 0
     #: Supervision ledger folded from fault-tolerance events:
     #: ``parallel.fault.injected`` → injected, every other
-    #: ``parallel.fault.*`` → detected, ``parallel.degrade`` → degraded
-    #: (``faults_retried`` has no event and stays 0).  Must reconcile exactly
-    #: with ``ChaseRunStats.faults`` of the traced run.
+    #: ``parallel.fault.*`` → detected, ``parallel.degrade`` → degraded.
+    #: Must reconcile exactly with ``ChaseRunStats.faults`` of the traced run.
     faults_injected: int = 0
     faults_detected: int = 0
-    faults_retried: int = 0
     faults_degraded: int = 0
 
     @property
@@ -377,7 +375,6 @@ class TraceSummary:
         return {
             "injected": self.faults_injected,
             "detected": self.faults_detected,
-            "retried": self.faults_retried,
             "degraded": self.faults_degraded,
         }
 

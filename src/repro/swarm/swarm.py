@@ -111,7 +111,7 @@ class Swarm:
 
     def edge_count(self) -> int:
         """Number of edges."""
-        return len(self._structure.atoms())
+        return len(self._structure)
 
     def __len__(self) -> int:
         return self.edge_count()

@@ -14,6 +14,17 @@ def test_add_atom_updates_domain_and_indexes():
     assert structure.domain() == {"1", "2"}
     assert structure.atoms_with_predicate("R") == {Atom("R", ("1", "2"))}
     assert structure.atoms_containing("1") == {Atom("R", ("1", "2"))}
+    assert structure.add_fact("S", "2", "3")
+    snapshot = structure.copy()
+    assert structure.remove_atom(Atom("R", ("1", "2")))
+    assert structure.atoms_containing("1") == set()
+    assert structure.atoms_containing("2") == {Atom("S", ("2", "3"))}
+    # The copy keeps its own atoms: the removal does not reach it.
+    assert snapshot.atoms_containing("1") == {Atom("R", ("1", "2"))}
+    assert snapshot.atoms_containing("2") == {
+        Atom("R", ("1", "2")),
+        Atom("S", ("2", "3")),
+    }
 
 
 def test_constants_from_signature_belong_to_domain():

@@ -286,8 +286,13 @@ def test_interning_round_trip_and_dense_ids(target):
         assert all(0 <= tid < interner.term_count() for tid in row)
         # The posting columns carry the same encoding the interner produces.
         posting = index.posting(pid)
-        offset = posting.atoms.index(atom)
-        assert posting.row(offset) == row
+        assert row in {posting.row(offset) for offset in range(posting.length)}
+    # Decoding every posting gives back exactly the structure's atoms.
+    decoded = [
+        atom for predicate in target.predicates() for atom in index.atoms(predicate)
+    ]
+    assert len(decoded) == len(target)
+    assert set(decoded) == target.atoms()
     # IDs are dense: exactly one per distinct term/predicate ever interned.
     assert len({interner.term(i) for i in range(interner.term_count())}) == (
         interner.term_count()

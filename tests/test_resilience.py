@@ -54,8 +54,8 @@ INSTANCE_TEXT = ", ".join(f"R({i},{i + 1})" for i in range(12))
 DEADLINE = 5.0
 
 #: One fault, found and answered: the run finished serially.
-ONE_FAULT = {"injected": 1, "detected": 1, "retried": 0, "degraded": 1}
-NO_FAULT = {"injected": 0, "detected": 0, "retried": 0, "degraded": 0}
+ONE_FAULT = {"injected": 1, "detected": 1, "degraded": 1}
+NO_FAULT = {"injected": 0, "detected": 0, "degraded": 0}
 
 #: Faults land in pool workers, and a pool needs shared memory: without it
 #: ``workers=2`` runs serial discovery, so no fault is injected and no
@@ -147,7 +147,6 @@ def test_seeded_fault_schedule_completes_or_raises_typed(seed):
     )
     assert_bit_identical(serial, result)
     ledger = result.stats.faults
-    assert ledger["retried"] == 0
     assert ledger["detected"] == ledger["injected"]
     assert ledger["degraded"] == (1 if ledger["detected"] else 0)
     assert_no_leaks()
@@ -251,7 +250,7 @@ def test_trace_events_reconcile_with_stats_ledger():
     assert result.stats.faults == summary.faults
     # Both workers crash in the same dispatch: two faults, one degrade.
     assert summary.faults == {
-        "injected": 2, "detected": 2, "retried": 0, "degraded": 1,
+        "injected": 2, "detected": 2, "degraded": 1,
     }
     assert "parallel faults:" in summary.render()
     assert "parallel faults:" in result.stats.render()
