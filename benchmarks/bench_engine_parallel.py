@@ -44,7 +44,7 @@ import pytest
 
 from repro.core.atoms import Atom
 from repro.engine import AtomIndex, ParallelDiscovery, SupervisedDiscovery
-from repro.engine.delta import compiled_delta_matches
+from repro.engine.delta import assignment_layout, iter_encoded_matches
 from repro.engine.shm import SHM_AVAILABLE, SharedColumnStore
 from repro.obs import CLOCK, peak_rss_kb
 
@@ -90,28 +90,31 @@ def _usable_cpus() -> int:
 
 
 def _serial_discover(tgds, index, stage_start):
-    return [list(compiled_delta_matches(tgd, index, 0, stage_start)) for tgd in tgds]
+    """Serial discovery in the pool's output shape: encoded rows per TGD."""
+    return [
+        list(iter_encoded_matches(tgd, assignment_layout(tgd), index, 0, stage_start))
+        for tgd in tgds
+    ]
 
 
-def _canonical(assignments):
-    return sorted(
-        tuple(sorted(((repr(k), repr(v)) for k, v in a.items()))) for a in assignments
-    )
+def _fire_heads(structure, term, tgds, serial):
+    """Materialise every discovered head (the workloads are existential-free).
 
-
-def _fire_heads(structure, tgds, serial):
-    """Materialise every discovered head (the workloads are existential-free)."""
+    *term* decodes the rows: the interner lookup of the index that
+    discovered them."""
     added = 0
-    for tgd, matches in zip(tgds, serial):
+    for tgd, rows in zip(tgds, serial):
+        layout = assignment_layout(tgd)
         for head in tgd.head:
-            for assignment in matches:
+            for row in rows:
+                assignment = dict(zip(layout, map(term, row)))
                 added += structure.add_atom(
                     Atom(head.predicate, tuple(assignment[v] for v in head.args))
                 )
     return added
 
 
-def _stage_shipped_bytes(tgds, instance, serial):
+def _stage_shipped_bytes(tgds, instance, serial, term):
     """Column bytes one stage of derived heads appends, and the pickled shm
     control message that syncs them.
 
@@ -119,7 +122,8 @@ def _stage_shipped_bytes(tgds, instance, serial):
     one-off cost), then fires the serial candidates as an oblivious stage
     and measures the *incremental* sync — the payload that recurs every
     stage of a real chase — against the raw ``8·(arity+1)`` bytes per new
-    fact the stage appended to the posting columns.
+    fact the stage appended to the posting columns.  *serial* holds rows
+    encoded by another index; *term* is that index's decoder.
     """
     index = AtomIndex(instance)
     store = SharedColumnStore()
@@ -127,7 +131,7 @@ def _stage_shipped_bytes(tgds, instance, serial):
     try:
         postings = index.tables()[0]
         before = {pid: posting.length for pid, posting in postings.items()}
-        _fire_heads(index.structure, tgds, serial)
+        _fire_heads(index.structure, term, tgds, serial)
         column_bytes = sum(
             (posting.length - before.get(pid, 0)) * 8 * (len(posting.cols) + 1)
             for pid, posting in postings.items()
@@ -164,7 +168,7 @@ def test_parallel_discovery_trajectory(
     column_stage_bytes = shm_stage_bytes = None
     if SHM_AVAILABLE:
         column_stage_bytes, shm_stage_bytes = _stage_shipped_bytes(
-            tgds, build(workload, **params)[1], serial
+            tgds, build(workload, **params)[1], serial, index.interner.term
         )
     speedups = {}
     # A discovery pool needs shared memory; without it there is no parallel
@@ -184,7 +188,7 @@ def test_parallel_discovery_trajectory(
         # the parallel candidate multisets must equal the serial ones per TGD.
         assert len(parallel) == len(serial)
         for serial_part, parallel_part in zip(serial, parallel):
-            assert _canonical(parallel_part) == _canonical(serial_part)
+            assert sorted(parallel_part) == sorted(serial_part)
         speedup = serial_seconds / max(parallel_seconds, 1e-9)
         speedups[workers] = speedup
         report_lines(

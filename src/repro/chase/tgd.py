@@ -28,6 +28,10 @@ class TGDError(ValueError):
     """Raised for malformed tuple generating dependencies."""
 
 
+def _by_name(variables: FrozenSet[Variable]) -> Tuple[Variable, ...]:
+    return tuple(sorted(variables, key=lambda v: v.name))
+
+
 @dataclass(frozen=True)
 class TGD:
     """A single tuple generating dependency ``body ⇒ ∃ head``."""
@@ -44,31 +48,44 @@ class TGD:
             raise TGDError("a TGD needs a non-empty body")
         if not self.head:
             raise TGDError("a TGD needs a non-empty head")
+        # The chase classifies a TGD's variables for every trigger it fires
+        # (frontier keys, fresh nulls, the head check), and a TGD never
+        # changes, so the classification is computed once here — the way
+        # Atom caches its hash.  These are not dataclass fields: equality
+        # and hashing still compare name, body and head only.
+        body_vars = frozenset(v for atom in self.body for v in atom.variables())
+        head_vars = frozenset(v for atom in self.head for v in atom.variables())
+        frontier = body_vars & head_vars
+        existentials = head_vars - body_vars
+        object.__setattr__(self, "_body_variables", body_vars)
+        object.__setattr__(self, "_head_variables", head_vars)
+        object.__setattr__(self, "_frontier", frontier)
+        object.__setattr__(self, "_existentials", existentials)
+        object.__setattr__(self, "sorted_frontier", _by_name(frontier))
+        object.__setattr__(self, "sorted_existentials", _by_name(existentials))
 
     # ------------------------------------------------------------------
-    # Variable classification
+    # Variable classification (computed once, in __init__).  Besides the
+    # methods below, two plain attributes hold name-ordered tuples:
+    # ``sorted_frontier`` (the order of frontier keys, trigger bindings and
+    # the free variables of body_query/head_query) and
+    # ``sorted_existentials`` (the order in which a firing draws nulls).
     # ------------------------------------------------------------------
     def body_variables(self) -> FrozenSet[Variable]:
         """All variables of the body (x̄ ∪ ȳ)."""
-        result = set()
-        for atom in self.body:
-            result.update(atom.variables())
-        return frozenset(result)
+        return self._body_variables  # type: ignore[attr-defined]
 
     def head_variables(self) -> FrozenSet[Variable]:
         """All variables of the head (ȳ ∪ z̄)."""
-        result = set()
-        for atom in self.head:
-            result.update(atom.variables())
-        return frozenset(result)
+        return self._head_variables  # type: ignore[attr-defined]
 
     def frontier(self) -> FrozenSet[Variable]:
         """The frontier ȳ: variables shared between body and head."""
-        return self.body_variables() & self.head_variables()
+        return self._frontier  # type: ignore[attr-defined]
 
     def existential_variables(self) -> FrozenSet[Variable]:
         """The existential head variables z̄."""
-        return self.head_variables() - self.body_variables()
+        return self._existentials  # type: ignore[attr-defined]
 
     def constants(self) -> FrozenSet[Constant]:
         """All constants mentioned by the dependency."""
@@ -83,20 +100,18 @@ class TGD:
 
     def is_full(self) -> bool:
         """True when the TGD has no existential variables (a "full" TGD)."""
-        return not self.existential_variables()
+        return not self._existentials  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Views of the two sides as conjunctive queries
     # ------------------------------------------------------------------
     def body_query(self) -> ConjunctiveQuery:
         """The body as a CQ with the frontier as free variables."""
-        frontier = sorted(self.frontier(), key=lambda v: v.name)
-        return ConjunctiveQuery(f"{self.name}::body", frontier, self.body)
+        return ConjunctiveQuery(f"{self.name}::body", self.sorted_frontier, self.body)
 
     def head_query(self) -> ConjunctiveQuery:
         """The head as a CQ with the frontier as free variables."""
-        frontier = sorted(self.frontier(), key=lambda v: v.name)
-        return ConjunctiveQuery(f"{self.name}::head", frontier, self.head)
+        return ConjunctiveQuery(f"{self.name}::head", self.sorted_frontier, self.head)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -13,6 +13,14 @@ A :class:`Trigger` packages a TGD together with such a homomorphism.  A
 trigger is *active* when condition (­) holds, i.e. the head is not yet
 satisfied at the frontier image — this is what makes the chase "lazy"
 (standard/restricted chase in modern terminology).
+
+Frontier keys and the order in which a firing draws fresh nulls come from
+the name-ordered tuples a :class:`~repro.chase.tgd.TGD` stores when it is
+built, so nothing here sorts per trigger.  :func:`apply_trigger` reports
+exactly the atoms it added; for a full TGD (no z̄) condition (­) fails
+exactly when that report is empty, which is how the semi-naive engine
+checks full heads without a query.  :func:`head_satisfied` below stays the
+reference chase's own evaluator-backed check.
 """
 
 from __future__ import annotations
@@ -48,14 +56,10 @@ class Trigger:
         return f"<Trigger {self.tgd.name}: {binding}>"
 
 
-def _frontier_key(tgd: TGD, assignment: Mapping[object, object]) -> Tuple[Tuple[object, object], ...]:
-    frontier = sorted(tgd.frontier(), key=lambda v: v.name)
-    return tuple((var, assignment[var]) for var in frontier)
-
-
 def frontier_key(tgd: TGD, assignment: Mapping[object, object]) -> Tuple[Tuple[object, object], ...]:
-    """The canonical frontier binding of *assignment* (public alias)."""
-    return _frontier_key(tgd, assignment)
+    """The canonical frontier binding of *assignment*: ``(variable, image)``
+    pairs in the TGD's stored name order (no per-call sort)."""
+    return tuple([(var, assignment[var]) for var in tgd.sorted_frontier])
 
 
 def trigger_sort_key(frontier_image: Tuple[Tuple[object, object], ...]) -> str:
@@ -115,7 +119,7 @@ def find_triggers(
     target_for_heads = satisfaction_structure or structure
     seen: set = set()
     for assignment in iter_homomorphisms(list(tgd.body), structure):
-        key = _frontier_key(tgd, assignment)
+        key = frontier_key(tgd, assignment)
         if key in seen:
             continue
         seen.add(key)
@@ -157,7 +161,7 @@ def apply_trigger(
     tgd = trigger.tgd
     assignment: Dict[object, object] = dict(trigger.frontier_image)
     fresh: List[Tuple[object, LabeledNull]] = []
-    for variable in sorted(tgd.existential_variables(), key=lambda v: v.name):
+    for variable in tgd.sorted_existentials:
         null = null_factory.fresh(hint=variable.name)
         fresh.append((variable, null))
         assignment[variable] = null

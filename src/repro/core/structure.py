@@ -251,7 +251,12 @@ class Structure:
     # Derived structures
     # ------------------------------------------------------------------
     def copy(self, name: str = "") -> "Structure":
-        """A deep-enough copy (atoms are immutable so sharing them is safe)."""
+        """A deep-enough copy (atoms are immutable so sharing them is safe).
+
+        A current :meth:`canonical_atoms` tuple is shared with the copy
+        (tuples are immutable; either side's next mutation invalidates only
+        its own cache), so copying a structure does not cost a re-sort.
+        """
         cloned = Structure(
             signature=self._signature, name=name or self.name
         )
@@ -260,6 +265,9 @@ class Structure:
         for pred, atoms in self._by_predicate.items():
             cloned._by_predicate[pred] = set(atoms)
         cloned._domain = set(self._domain)
+        cached = self._canonical_cache
+        if cached is not None and cached[0] == self._generation:
+            cloned._canonical_cache = (cloned._generation, cached[1])
         return cloned
 
     def freeze(self) -> FrozenSet[Atom]:

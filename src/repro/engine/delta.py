@@ -22,7 +22,7 @@ tests hold this enumeration against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..chase.tgd import TGD
 from ..core.terms import is_rigid
@@ -33,18 +33,23 @@ from .indexes import AtomIndex
 
 Assignment = Dict[object, object]
 FrontierKey = Tuple[Tuple[object, object], ...]
+#: A body match as interned term IDs in :func:`assignment_layout` order.
+EncodedRow = Tuple[int, ...]
 
 
 def head_satisfied_indexed(
-    tgd: TGD, index: AtomIndex, frontier_assignment: Assignment
+    tgd: TGD, index: AtomIndex, frontier_assignment: Mapping[object, object]
 ) -> bool:
     """Indexed version of :func:`repro.chase.trigger.head_satisfied`.
 
     Checks ``∃z̄ Ψ(z̄, b̄)`` against the *current* (full) contents of the
-    index, i.e. the growing structure — the paper's condition (­) — through
-    the planned query evaluator.
+    index, i.e. the growing structure — the paper's condition (­) — as one
+    compiled first-solution probe of the head.  The engine calls it for
+    existential heads only: a full TGD's head is a set of ground atoms, and
+    inserting them is its own check (see
+    :meth:`~repro.engine.strategies.FiringStrategy.should_fire`).
     """
-    return exists_match(list(tgd.head), index, dict(frontier_assignment), hi=None)
+    return exists_match(tgd.head, index, frontier_assignment)
 
 
 def assignment_layout(tgd: TGD) -> Tuple[object, ...]:
@@ -60,6 +65,17 @@ def assignment_layout(tgd: TGD) -> Tuple[object, ...]:
     return tuple(sorted(terms, key=repr))
 
 
+def frontier_slots(tgd: TGD, layout: Tuple[object, ...]) -> Tuple[int, ...]:
+    """Where each variable of ``tgd.sorted_frontier`` sits in *layout*.
+
+    Every frontier variable occurs in the body, so it has a slot: the
+    engine builds a candidate's frontier key straight from an encoded
+    match row, one decode per frontier term, without an assignment dict.
+    """
+    slot = {term: position for position, term in enumerate(layout)}
+    return tuple(slot[variable] for variable in tgd.sorted_frontier)
+
+
 def iter_encoded_matches(
     tgd: TGD,
     layout: Tuple[object, ...],
@@ -68,7 +84,7 @@ def iter_encoded_matches(
     stage_start: int,
     seed_lo: Optional[int] = None,
     seed_hi: Optional[int] = None,
-) -> Iterator[Tuple[int, ...]]:
+) -> Iterator[EncodedRow]:
     """Delta body matches as interned-ID rows in *layout* order.
 
     The single copy of the delta enumeration both discovery paths share:
@@ -78,10 +94,11 @@ def iter_encoded_matches(
     positions whose predicate gained no atoms in the delta window are
     skipped before any plan is even looked up, which is what makes
     whole-stage batch discovery one cheap pass when most TGDs are untouched
-    by a stage's delta.  Solutions stay in register form — the serial
-    caller decodes them (:func:`compiled_delta_matches`), the parallel
-    workers ship them as-is (one small int tuple per candidate on the
-    wire).
+    by a stage's delta.  Solutions stay in register form: the engine
+    decodes only each row's frontier terms (:func:`frontier_slots`), the
+    parallel workers ship rows as-is (one small int tuple per candidate),
+    and :func:`compiled_delta_matches` decodes whole rows for the oracles
+    and tests.
 
     ``seed_lo`` / ``seed_hi`` restrict the *seed* atom to a stamp sub-range
     of ``[delta_lo, stage_start)`` while leaving the completion windows
@@ -153,8 +170,8 @@ def compiled_delta_matches(
     with ``delta_lo == 0`` this degenerates to full (naive) enumeration over
     the prefix, which is exactly what the first stage needs.  A thin decode
     wrapper over :func:`iter_encoded_matches`, which holds the actual
-    enumeration logic — keeping serial and parallel discovery on one code
-    path.
+    enumeration logic; the engine itself consumes the encoded rows, so
+    this wrapper serves the differential oracles and tests.
     """
     layout = assignment_layout(tgd)
     seed_lo, seed_hi = seed_window if seed_window is not None else (None, None)

@@ -41,6 +41,7 @@ the reference-oracle comparisons.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -190,7 +191,7 @@ class AtomIndex(StructureListener):
         self._interner = Interner()
         self._by_predicate: Dict[int, _PostingList] = {}
         self._by_position: Dict[Tuple[int, int, int], _RowRefs] = {}
-        self._structure: Optional[Structure] = None
+        self._structure_ref: Optional["weakref.ref[Structure]"] = None
         #: Number of full rebuilds (atom removals) this index has performed.
         self.rebuilds = 0
         #: Compiled-plan cache slot, lazily populated by
@@ -210,8 +211,15 @@ class AtomIndex(StructureListener):
     # ------------------------------------------------------------------
     @property
     def structure(self) -> Optional[Structure]:
-        """The structure this index currently follows (``None`` when detached)."""
-        return self._structure
+        """The structure this index currently follows (``None`` when detached).
+
+        Held weakly: the structure keeps its index alive through its listener
+        list, so a strong reference back would make every index cyclic
+        garbage that only the collector frees.  This way an index goes with
+        its structure by reference counting.
+        """
+        ref = self._structure_ref
+        return None if ref is None else ref()
 
     @property
     def interner(self) -> Interner:
@@ -220,17 +228,18 @@ class AtomIndex(StructureListener):
 
     def attach(self, structure: Structure) -> None:
         """Bulk-load *structure* and follow its future mutations."""
-        if self._structure is not None:
+        if self._structure_ref is not None:
             self.detach()
-        self._structure = structure
+        self._structure_ref = weakref.ref(structure)
         self._reload()
         structure.add_listener(self)
 
     def detach(self) -> None:
         """Stop following the structure (the index keeps its last state)."""
-        if self._structure is not None:
-            self._structure.remove_listener(self)
-            self._structure = None
+        structure = self.structure
+        if structure is not None:
+            structure.remove_listener(self)
+        self._structure_ref = None
 
     def _reload(self) -> None:
         # The sequence counter is deliberately NOT reset: stamps stay
@@ -242,13 +251,14 @@ class AtomIndex(StructureListener):
         # The interner is NOT reset either: IDs are append-only forever.
         self._by_predicate = {}
         self._by_position = {}
-        if self._structure is not None:
+        structure = self.structure
+        if structure is not None:
             # The canonical (repr-sorted) snapshot makes posting-list order —
             # hence trigger enumeration — independent of set iteration order
             # (and therefore of PYTHONHASHSEED); the structure caches it per
             # generation, so attach-after-chase and export paths share one
             # sort.
-            for atom in self._structure.canonical_atoms():
+            for atom in structure.canonical_atoms():
                 self._insert(atom)
 
     # ------------------------------------------------------------------
@@ -307,7 +317,7 @@ class AtomIndex(StructureListener):
         serial ``_insert`` calls, which is what keeps replica matching
         bit-identical to the source.
         """
-        if self._structure is not None:
+        if self._structure_ref is not None:
             raise ValueError("only a detached index can attach shared segments")
         if sync.reset:
             self._by_predicate = {}

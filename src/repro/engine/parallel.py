@@ -35,8 +35,9 @@ How a stage's discovery runs with ``workers=N``:
    register programs, plan-cached on the replica across stages) and returns
    candidates as interned-ID rows in a canonical per-TGD variable order.
 4. **Merge** — the engine gathers rows task by task (never by completion
-   order) and decodes them through its own interner (:func:`merge_rows`);
-   the engine deduplicates and sorts exactly as the serial path does.
+   order, :func:`merge_rows`) and keys them exactly as the serial path
+   does: frontier terms decoded through its own interner, then dedup and
+   sort.
    Discovery order therefore cannot leak into trigger order: the firing
    pass — still strictly serial, as the paper's chase discipline demands —
    sees the same canonical candidate sequence as a ``workers=0`` run, bit
@@ -87,7 +88,7 @@ from ..chase.tgd import TGD
 from ..core.terms import is_rigid
 from ..obs.trace import get_tracer
 from ..testing.faults import active_plan, tamper_payload
-from .delta import Assignment, assignment_layout, iter_encoded_matches
+from .delta import assignment_layout, iter_encoded_matches
 from .indexes import AtomIndex
 from .shm import DEFAULT_INITIAL_CAPACITY, SHM_AVAILABLE, SegmentCache
 
@@ -179,27 +180,21 @@ def _classify_failure(traceback_text: str) -> str:
 
 def merge_rows(
     tgds: Sequence[TGD],
-    layouts: Sequence[Tuple[str, ...]],
-    index: AtomIndex,
     tasks: Sequence[Task],
     rows_by_task: Dict[Task, List[Tuple[int, ...]]],
-) -> List[List[Assignment]]:
-    """Decode gathered rows into per-TGD assignment lists, in task order.
+) -> List[List[Tuple[int, ...]]]:
+    """Gathered rows as per-TGD lists, in task order.
 
     The canonical merge: iteration follows *tasks* (the dispatch-time list),
     so which worker computed a row — or whether the engine recomputed it
-    after a fault — cannot influence the result.  Runs supervisor-side,
-    so it works even after the pool is gone.
+    after a fault — cannot influence the result.  Rows stay encoded (the
+    engine's interner IDs in :func:`~repro.engine.delta.assignment_layout`
+    order); the engine decodes only the frontier terms of each.  Runs
+    supervisor-side, so it works even after the pool is gone.
     """
-    term = index.interner.term
-    results: List[List[Assignment]] = [[] for _ in tgds]
+    results: List[List[Tuple[int, ...]]] = [[] for _ in tgds]
     for task in tasks:
-        layout = layouts[task[0]]
-        bucket = results[task[0]]
-        for row in rows_by_task[task]:
-            bucket.append(
-                {variable: term(vid) for variable, vid in zip(layout, row)}
-            )
+        results[task[0]].extend(rows_by_task[task])
     return results
 
 
@@ -297,10 +292,10 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
             if kind == "stop":
                 # Drop the replica first: its posting columns hold memoryview
                 # slices of the attached segments, which must die before the
-                # mappings can close without BufferError noise at exit.  The
-                # replica sits in reference cycles (plan/trie caches point
-                # back at it), so an explicit collection is what actually
-                # releases the views.
+                # mappings can close without BufferError noise at exit.  Plan
+                # and trie caches point back at the replica only weakly; the
+                # explicit collection covers any other cycle that still
+                # holds a view.
                 replica = None
                 import gc
 

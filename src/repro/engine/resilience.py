@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..chase.tgd import TGD
 from ..obs.trace import NULL_SPAN, get_tracer
-from .delta import Assignment, assignment_layout, compiled_delta_matches
+from .delta import EncodedRow, assignment_layout, iter_encoded_matches
 from .parallel import (
     ParallelDiscovery,
     WorkerError,
@@ -60,7 +60,7 @@ class SupervisedDiscovery:
 
     The engine's discovery call site:
     ``discover(index, delta_lo, stage_start, stage=...)``
-    returns one assignment list per TGD under a single
+    returns one encoded-row list per TGD under a single
     ``parallel.discover`` span per stage; a fault inside the stage finishes
     it — and the run — serially (see the module docs).  ``stage_deadline``
     bounds each stage's gather in seconds (``None`` waits forever); hang
@@ -96,8 +96,13 @@ class SupervisedDiscovery:
         delta_lo: int,
         stage_start: int,
         stage: Optional[int] = None,
-    ) -> List[List[Assignment]]:
-        """One stage's discovery under supervision (see the module docs)."""
+    ) -> List[List[EncodedRow]]:
+        """One stage's discovery under supervision (see the module docs).
+
+        Returns one list of encoded match rows per TGD, in
+        :func:`~repro.engine.delta.assignment_layout` order — the shape the
+        serial path enumerates too.
+        """
         tracer = get_tracer()
         pool = self._pool
         pool_live = not pool.closed
@@ -144,9 +149,7 @@ class SupervisedDiscovery:
                                 delta_lo,
                                 stage_start,
                             )
-                    results = merge_rows(
-                        self._tgds, self._layouts, index, outcome.tasks, rows_by_task
-                    )
+                    results = merge_rows(self._tgds, outcome.tasks, rows_by_task)
                     span.note(
                         tasks=len(outcome.tasks),
                         candidates=sum(len(bucket) for bucket in results),
@@ -155,8 +158,10 @@ class SupervisedDiscovery:
                     return results
             # Degraded (now or earlier in the run): a fully serial stage.
             results = [
-                list(compiled_delta_matches(tgd, index, delta_lo, stage_start))
-                for tgd in self._tgds
+                list(
+                    iter_encoded_matches(tgd, layout, index, delta_lo, stage_start)
+                )
+                for tgd, layout in zip(self._tgds, self._layouts)
             ]
             span.note(
                 degraded=True,

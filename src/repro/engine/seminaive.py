@@ -27,19 +27,25 @@ the two stage by stage.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..chase.chase import ChaseBudgetExceeded, ChaseResult, StageSnapshots
 from ..chase.provenance import ChaseProvenance, ChaseStep
 from ..chase.tgd import TGD
-from ..chase.trigger import Trigger, apply_trigger, frontier_key, trigger_sort_key
+from ..chase.trigger import Trigger, apply_trigger, trigger_sort_key
 from ..core.structure import Structure
 from ..core.terms import FreshNullFactory
 from ..obs.metrics import CLOCK
 from ..obs.metrics import active as metrics_active
 from ..obs.report import ChaseRunStats, StageStats
 from ..obs.trace import NULL_SPAN, get_tracer
-from .delta import Assignment, compiled_delta_matches
+from .delta import (
+    EncodedRow,
+    assignment_layout,
+    frontier_slots,
+    iter_encoded_matches,
+)
 from .indexes import AtomIndex
 from .resilience import SupervisedDiscovery
 from .strategies import FiringStrategy, lazy_strategy
@@ -163,6 +169,10 @@ class SemiNaiveChaseEngine:
     # ------------------------------------------------------------------
     def run(self, instance: Structure) -> ChaseResult:
         """Run the chase from *instance* (which is not modified)."""
+        # Sort the input once on the caller's structure: the working copy
+        # (and the chase_0 copy) inherit the tuple the index bulk-loads
+        # from, so repeated runs over one input skip the re-sort.
+        instance.canonical_atoms()
         current = instance.copy(
             name=f"chase({instance.name})" if instance.name else "chase"
         )
@@ -175,6 +185,12 @@ class SemiNaiveChaseEngine:
         stage = 0
         reached_fixpoint = False
         delta_lo = 0
+        # Each TGD's match-row layout and the slots of its frontier in it,
+        # once per run: every candidate's frontier key is read off its row.
+        layouts = []
+        for tgd in self.tgds:
+            layout = assignment_layout(tgd)
+            layouts.append((layout, frontier_slots(tgd, layout)))
         pool = self._ensure_pool()
         supervisor = None
         if pool is not None:
@@ -227,6 +243,7 @@ class SemiNaiveChaseEngine:
                         fired = self._run_stage(
                             current,
                             index,
+                            layouts,
                             delta_lo,
                             stage_start,
                             null_factory,
@@ -359,6 +376,7 @@ class SemiNaiveChaseEngine:
         self,
         current: Structure,
         index: AtomIndex,
+        layouts: Sequence[Tuple[tuple, Tuple[int, ...]]],
         delta_lo: int,
         stage_start: int,
         null_factory: FreshNullFactory,
@@ -404,35 +422,53 @@ class SemiNaiveChaseEngine:
                 started = CLOCK() if timed else 0.0
                 # The stage number travels down as the coordinate the fault
                 # injector and the fault/degrade events key on.
-                per_tgd: Iterable[Iterable[Assignment]] = supervisor.discover(
+                per_tgd: Iterable[Iterable[EncodedRow]] = supervisor.discover(
                     index, delta_lo, stage_start, stage=stage
                 )
                 if timed:
                     discovery_seconds += CLOCK() - started
             else:
                 per_tgd = (
-                    compiled_delta_matches(tgd, index, delta_lo, stage_start)
-                    for tgd in self.tgds
+                    iter_encoded_matches(tgd, layout, index, delta_lo, stage_start)
+                    for tgd, (layout, _) in zip(self.tgds, layouts)
                 )
+            # Candidates are keyed straight from the encoded rows: the
+            # dedup key is the row's frontier IDs (interning is one-to-one,
+            # so equal IDs are equal terms) and only a new key's frontier
+            # terms are decoded.  The oblivious discipline dedups on whole
+            # rows and keeps its full-assignment key; for the others the
+            # dedup key is the frontier, whose repr is the sort key.
+            term = index.interner.term
+            by_assignment = strategy.dedup_by_assignment
             stage_candidates: List[List[tuple]] = []
-            for tgd, assignments in zip(self.tgds, per_tgd):
+            for tgd, (layout, slots), rows in zip(self.tgds, layouts, per_tgd):
+                variables = tgd.sorted_frontier
                 seen: set = set()
                 candidates: List[tuple] = []
                 started = CLOCK() if timed else 0.0
                 raw = 0
-                for assignment in assignments:
+                for row in rows:
                     raw += 1
-                    frontier = frontier_key(tgd, assignment)
-                    dedup = strategy.dedup_key(frontier, assignment)
-                    if dedup in seen:
+                    ids = tuple([row[slot] for slot in slots])
+                    key = row if by_assignment else ids
+                    if key in seen:
                         continue
-                    seen.add(dedup)
-                    candidates.append((trigger_sort_key(frontier), frontier, dedup))
+                    seen.add(key)
+                    frontier = tuple(zip(variables, map(term, ids)))
+                    if by_assignment:
+                        dedup = strategy.dedup_key(
+                            frontier, dict(zip(layout, map(term, row)))
+                        )
+                        order = (trigger_sort_key(frontier), repr(dedup))
+                    else:
+                        dedup = frontier
+                        order = trigger_sort_key(frontier)
+                    candidates.append((order, frontier, dedup))
                 if timed:
                     now = CLOCK()
                     discovery_seconds += now - started
                     started = now
-                candidates.sort(key=lambda item: (item[0], repr(item[2])))
+                candidates.sort(key=itemgetter(0))
                 if timed:
                     dedup_seconds += CLOCK() - started
                 candidates_total += raw

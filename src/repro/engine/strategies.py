@@ -1,7 +1,10 @@
 """Pluggable firing policies for the semi-naive chase engine.
 
 The paper's chase is *lazy* (standard/restricted): a trigger fires only when
-its head is not yet satisfied at the frontier image.  The engine also offers
+its head is not yet satisfied at the frontier image.  For an existential
+head that is one compiled head probe; for a full TGD it is the firing
+itself, which the engine keeps only when it added an atom (see
+:meth:`FiringStrategy.should_fire`).  The engine also offers
 the two classic eager disciplines from the chase literature, which are
 useful for termination experiments and for stress-testing the delta
 machinery (they fire strictly more triggers):
@@ -71,7 +74,17 @@ class FiringStrategy:
     def should_fire(
         self, tgd: TGD, dedup: object, frontier: FrontierKey, index: AtomIndex
     ) -> bool:
-        """Decide whether the trigger with frontier *frontier* fires now."""
+        """Decide whether the trigger with frontier *frontier* may fire now.
+
+        Under ``check_head`` this is the paper's condition (­),
+        ``D ⊭ ∃z̄ Ψ(z̄, b̄)``, against the growing structure.  For an
+        existential head it is one compiled head probe
+        (:func:`~repro.engine.delta.head_satisfied_indexed`).  A full TGD
+        issues no query: z̄ is empty, so Ψ(b̄) is a set of ground atoms
+        and holds exactly when inserting them adds nothing.  The caller
+        therefore fires it and counts the firing only if it added an atom,
+        as the engine does for every trigger.
+        """
         if self.once_per_key:
             # Keyed by the TGD itself, not its name: distinct rules that
             # happen to share a name must not suppress each other.
@@ -79,9 +92,7 @@ class FiringStrategy:
             if mark in self._fired:
                 return False
             self._fired.add(mark)
-        if self.check_head:
-            # ∃z̄ Ψ(z̄, b̄) against the growing structure — evaluated by the
-            # planned query evaluator behind head_satisfied_indexed.
+        if self.check_head and not tgd.is_full():
             return not head_satisfied_indexed(tgd, index, dict(frontier))
         return True
 

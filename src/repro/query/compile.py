@@ -59,6 +59,7 @@ against each other (pinning one by replacing :func:`choose_executor`).
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
@@ -460,15 +461,22 @@ class PlanCache:
     of the whole cache.
     """
 
-    __slots__ = ("index", "entries", "hits", "stale_hits", "misses", "invalidations")
+    __slots__ = ("_index", "entries", "hits", "stale_hits", "misses", "invalidations")
 
     def __init__(self, index: "AtomIndex") -> None:
-        self.index = index
+        # Weak: the index owns its cache, and a strong back-reference
+        # would make every index cyclic garbage that only the collector
+        # frees.
+        self._index = weakref.ref(index)
         self.entries: Dict[object, _CacheEntry] = {}
         self.hits = 0
         self.stale_hits = 0
         self.misses = 0
         self.invalidations = 0
+
+    @property
+    def index(self) -> "AtomIndex":
+        return self._index()
 
     def _generation(self) -> Tuple[int, int]:
         """``(rebuilds, mutation counter)`` of the followed structure.

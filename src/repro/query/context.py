@@ -18,10 +18,10 @@ on the chased structure start from a warm index instead of rebuilding one
 use to prove no rebuild happens).
 
 Lifetime: the context only keeps a *weak* reference to each index.  The
-structure itself keeps its index alive through its listener list, so an
-index lives exactly as long as the structure it mirrors; when the structure
-is garbage-collected the (structure ↔ index) cycle goes with it and the
-context entry is purged lazily.
+structure itself keeps its index alive through its listener list, and the
+index (like its plan and trie caches) points back only weakly, so an index
+lives exactly as long as the structure it mirrors and is freed with it by
+reference counting; the context entry is purged lazily.
 
 Thread safety: a context may be shared by concurrent request threads (the
 service layer of :mod:`repro.service` runs one context per session under a

@@ -50,6 +50,21 @@ Assignment = Dict[object, object]
 # ----------------------------------------------------------------------
 # Compiled execution + decode
 # ----------------------------------------------------------------------
+def _bound_registers(
+    compiled, interner, assignment: Mapping[object, object]
+) -> Optional[list]:
+    """A fresh register file with *assignment*'s images injected, or
+    ``None`` when an image occurs in no indexed fact (then no atom can ever
+    match at that position within this snapshot)."""
+    registers = compiled.fresh_registers()
+    for term, slot in compiled.prebound:
+        tid = interner.term_id(assignment[term])
+        if tid is None:
+            return None
+        registers[slot] = tid
+    return registers
+
+
 def _compiled_solutions(
     atoms: Sequence[Atom],
     index: AtomIndex,
@@ -74,14 +89,9 @@ def _compiled_solutions(
         context=context,
     )
     interner = index.interner
-    registers = compiled.fresh_registers()
-    for term, slot in compiled.prebound:
-        tid = interner.term_id(assignment[term])
-        if tid is None:
-            # The pre-bound image occurs in no indexed fact, so no atom can
-            # ever match at that position within this snapshot.
-            return
-        registers[slot] = tid
+    registers = _bound_registers(compiled, interner, assignment)
+    if registers is None:
+        return
     outputs = compiled.outputs
     for registers_out in execute(
         compiled, index, registers, hi=hi, first_only=first_only
@@ -114,9 +124,18 @@ def exists_match(
     assignment: Optional[Assignment] = None,
     hi: Optional[int] = None,
 ) -> bool:
-    """Does at least one compiled match of *atoms* exist in *index*?"""
+    """Does at least one compiled match of *atoms* exist in *index*?
+
+    No solution is decoded: the answer is whether the first-solution
+    executor yields a register row.
+    """
+    assignment = assignment or {}
+    compiled = compiled_for(index, tuple(atoms), frozenset(assignment))
+    registers = _bound_registers(compiled, index.interner, assignment)
+    if registers is None:
+        return False
     return (
-        next(iter_matches(atoms, index, assignment, hi, first_only=True), None)
+        next(execute(compiled, index, registers, hi=hi, first_only=True), None)
         is not None
     )
 

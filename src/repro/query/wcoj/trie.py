@@ -36,6 +36,7 @@ steady-state syncs and drop cleanly on reset syncs.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ...obs.trace import get_tracer as _get_tracer
@@ -123,17 +124,22 @@ class TrieCache:
     tests, mirroring :class:`~repro.query.compile.PlanCache`.
     """
 
-    __slots__ = ("index", "entries", "rebuilds", "builds", "extensions", "hits",
+    __slots__ = ("_index", "entries", "rebuilds", "builds", "extensions", "hits",
                  "invalidations")
 
     def __init__(self, index: "AtomIndex") -> None:
-        self.index = index
+        # Weak, like the plan cache's: the index owns this cache.
+        self._index = weakref.ref(index)
         self.entries: Dict[Tuple[TrieSpec, int], Trie] = {}
         self.rebuilds = index.rebuilds
         self.builds = 0
         self.extensions = 0
         self.hits = 0
         self.invalidations = 0
+
+    @property
+    def index(self) -> "AtomIndex":
+        return self._index()
 
     # ------------------------------------------------------------------
     def get(self, spec: TrieSpec, lo: int, hi: int) -> Trie:

@@ -112,8 +112,7 @@ def reverse_construction(
         tgd = rule.tgds()[1]
         # The frontier is (x, x′) for &·· rules and (y, y′) for /·· rules;
         # name order puts the unprimed variable first.
-        frontier = sorted(tgd.frontier(), key=lambda var: var.name)
-        reverse.append((rule, tgd, frontier))
+        reverse.append((rule, tgd, tgd.sorted_frontier))
     counter = itertools.count()
     for _ in range(rounds):
         hi = index.watermark()

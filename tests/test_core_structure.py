@@ -120,3 +120,27 @@ def test_remove_atom():
     assert structure.remove_atom(Atom("R", ("1", "2")))
     assert not structure.remove_atom(Atom("R", ("1", "2")))
     assert len(structure.atoms()) == 0
+
+
+def test_copy_shares_a_current_canonical_order_until_either_side_mutates():
+    structure = structure_from_text("R(3,1), R(1,2), S(2,3)")
+    ordered = structure.canonical_atoms()
+    copy = structure.copy()
+    # The copy inherits the parent's sorted tuple itself: no re-sort.
+    assert copy.canonical_atoms() is ordered
+    # Mutating the copy re-sorts the copy only.
+    copy.add_fact("R", "0", "0")
+    assert copy.canonical_atoms() is not ordered
+    assert copy.canonical_atoms() == tuple(sorted(copy.atoms(), key=repr))
+    assert structure.canonical_atoms() is ordered
+    # A copy taken after the parent mutated does not inherit a stale order.
+    structure.remove_atom(Atom("S", ("2", "3")))
+    fresh = structure.copy()
+    assert fresh.canonical_atoms() == tuple(sorted(structure.atoms(), key=repr))
+    assert Atom("S", ("2", "3")) not in fresh.canonical_atoms()
+
+
+def test_copy_without_a_cached_order_sorts_on_demand():
+    structure = structure_from_text("R(2,1), R(1,2)")
+    copy = structure.copy()
+    assert copy.canonical_atoms() == tuple(sorted(structure.atoms(), key=repr))

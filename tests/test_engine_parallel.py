@@ -34,7 +34,7 @@ from repro.engine import (
     WorkerError,
     run_chase,
 )
-from repro.engine.delta import compiled_delta_matches
+from repro.engine.delta import assignment_layout, iter_encoded_matches
 from repro.engine.shm import (
     DEFAULT_INITIAL_CAPACITY,
     SHM_AVAILABLE,
@@ -48,16 +48,21 @@ shm_only = pytest.mark.skipif(
 )
 
 
-def canonical(assignments):
-    """Assignment dicts as a sorted, order-insensitive list of item tuples."""
-    return sorted(
-        tuple(sorted(((repr(k), repr(v)) for k, v in a.items()))) for a in assignments
-    )
+def canonical(rows):
+    """Encoded match rows as a sorted, order-insensitive list.
+
+    Replica interners stay aligned with the engine's, so a pool row and a
+    serial row for the same match carry the same term IDs."""
+    return sorted(rows)
 
 
 def serial_discovery(tgds, index, delta_lo, stage_start):
     return [
-        list(compiled_delta_matches(tgd, index, delta_lo, stage_start))
+        list(
+            iter_encoded_matches(
+                tgd, assignment_layout(tgd), index, delta_lo, stage_start
+            )
+        )
         for tgd in tgds
     ]
 

@@ -72,6 +72,37 @@ def test_index_detach_stops_following():
 # ----------------------------------------------------------------------
 # Delta discovery + indexed head satisfaction
 # ----------------------------------------------------------------------
+def test_index_is_freed_with_its_structure_by_reference_counting():
+    # The structure owns its index (listener list); the index and its plan
+    # and trie caches point back only weakly, so dropping a chase result
+    # frees its index at once instead of leaving cyclic garbage for the
+    # collector (which held a service's peak RSS up between collections).
+    import gc
+    import weakref
+
+    from repro.query import exists_match, get_context
+    from repro.query.wcoj.trie import trie_cache_for
+
+    gc.disable()
+    try:
+        result = run_chase(
+            parse_tgds("R(x,y), R(y,z) -> S(x,z)"),
+            structure_from_text("R(1,2), R(2,3), R(3,4)"),
+        )
+        index = get_context().peek(result.structure)
+        assert index is not None and index.structure is result.structure
+        assert exists_match(parse_tgds("S(x,y) -> T(x)")[0].body, index)
+        assert index.plan_cache.index is index
+        assert trie_cache_for(index).index is index
+        alive = weakref.ref(index)
+        del index
+        assert alive() is not None  # the chased structure keeps it
+        del result
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_delta_discovery_only_sees_matches_using_the_delta():
     tgd = parse_tgds("R(x,y), R(y,z) -> S(x,z)")[0]
     structure = structure_from_text("R(1,2), R(2,3)")
